@@ -1,27 +1,21 @@
-"""Scheduling benchmark: b-level priorities + adaptive panel widths.
+"""Panel-width benchmark: level-adaptive panel widths vs the global nb.
 
 Measures the deterministic simulated makespan of the Fig-6 matrix
-shapes (types 2/3/4) on the 16-core machine under the four scheduling
-ablations:
+shapes (types 2/3/4) on the 16-core machine under two panel-width
+plans (every task at priority 0, submission order, in both):
 
-``none``      priorities off, global panel width (the pre-scheduling
-              baseline: every task at priority 0, FIFO-ish order).
-``blevel``    b-level priorities only (critical path first), global
-              panel width.
-``adaptive``  priorities off, level-adaptive panel widths.
-``full``      b-level priorities + adaptive widths (the defaults a
-              solver session would pick with ``adaptive_nb=True``).
+``none``      the global panel width ``DCOptions.effective_nb``.
+``adaptive``  level-adaptive panel widths (``adaptive_nb=True``).
 
-All timings are *virtual* (discrete-event simulation on the calibrated
-machine model), so results are bit-for-bit reproducible on any host —
-unlike wall-clock gates, this cannot be flaky on shared CI runners.
+All timings are *virtual* (discrete-event simulation on the machine
+model), so results are bit-for-bit reproducible on any host — unlike
+wall-clock gates, this cannot be flaky on shared CI runners.
 
-The gate machine uses the calibrated per-task dispatch overhead of this
-Python runtime (``DEFAULT_CALIBRATION.task_overhead_s``, ~15 us) rather
-than the paper machine's 2 us: priorities and panel widths matter
-exactly when dispatch overhead is not negligible, and 15 us is what the
-ThreadScheduler actually costs per task (measured by
-``repro.core.calibrate.host_calibration``).
+The gate machine charges the runtime's per-task dispatch cost
+(``repro.core.options.TASK_OVERHEAD_S``, 15 us; the wall-clock ledger
+measures 13-22 us per task on two workers) rather than the paper
+machine's 2 us: panel widths matter exactly when dispatch overhead is
+not negligible (the nb trade-off of the paper's Sec. IV).
 
 Usage::
 
@@ -29,7 +23,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_schedule.py --smoke   # CI check
 
 The full run writes ``BENCH_schedule.json`` to the repo root with the
-n >= 2500 grid and the gate verdict (>= 10% improvement of ``full``
+n >= 2500 grid and the gate verdict (>= 10% improvement of ``adaptive``
 over ``none`` on at least 3 shapes).  ``--smoke`` re-runs only the
 small shapes (n <= 1200, seconds not minutes), checks them against the
 committed baseline, and re-validates that the committed grid still
@@ -48,18 +42,18 @@ from common import SolvedGraph, load_bench_json, matrix, \
     write_bench_json  # noqa: E402
 
 from repro.core import DCOptions  # noqa: E402
-from repro.core.calibrate import DEFAULT_CALIBRATION  # noqa: E402
+from repro.core.options import TASK_OVERHEAD_S  # noqa: E402
 from repro.runtime import Machine  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO_ROOT, "BENCH_schedule.json")
 
 N_WORKERS = 16
-GATE_MACHINE = Machine(task_overhead=DEFAULT_CALIBRATION.task_overhead_s)
+GATE_MACHINE = Machine(task_overhead=TASK_OVERHEAD_S)
 
 #: The Fig-6 grid (n >= 2500) the acceptance gate runs on.  Type 2 gets
 #: a third size: the high-deflation shapes are the overhead-bound ones
-#: where scheduling buys the most, so they anchor the gate.
+#: where panel widths buy the most, so they anchor the gate.
 GATE_SHAPES = [(2, 2500), (3, 2500), (4, 2500),
                (2, 2800),
                (2, 3000), (3, 3000), (4, 3000)]
@@ -70,12 +64,8 @@ GATE_MIN_SHAPES = 3
 SMOKE_SHAPES = [(2, 600), (3, 1200), (4, 1200)]
 
 ABLATIONS = {
-    "none": DCOptions(priority_mode="none"),
-    "blevel": DCOptions(priority_mode="blevel"),
-    "adaptive": DCOptions(priority_mode="none", adaptive_nb=True,
-                          target_parallelism=N_WORKERS),
-    "full": DCOptions(priority_mode="blevel", adaptive_nb=True,
-                      target_parallelism=N_WORKERS),
+    "none": DCOptions(),
+    "adaptive": DCOptions(adaptive_nb=True, target_parallelism=N_WORKERS),
 }
 
 
@@ -94,8 +84,7 @@ def measure_shape(mtype: int, n: int,
         rec["improvement"][name] = 1.0 - rec["makespan_s"][name] / base
     imp = rec["improvement"]
     print(f"  type{mtype} n={n:5d}: none {base * 1e3:9.3f} ms   "
-          + "  ".join(f"{k} {100 * imp[k]:+6.2f}%"
-                      for k in ("blevel", "adaptive", "full")))
+          f"adaptive {100 * imp['adaptive']:+6.2f}%")
     return rec
 
 
@@ -103,7 +92,7 @@ def gate_verdict(grid: list[dict]) -> dict:
     """Evaluate the >= 10%-on->=3-shapes acceptance gate over a grid."""
     passing = [[r["mtype"], r["n"]] for r in grid
                if r["n"] >= 2500
-               and r["improvement"]["full"] >= GATE_THRESHOLD]
+               and r["improvement"]["adaptive"] >= GATE_THRESHOLD]
     return {"threshold": GATE_THRESHOLD, "min_shapes": GATE_MIN_SHAPES,
             "n_workers": N_WORKERS, "passing": passing,
             "ok": len(passing) >= GATE_MIN_SHAPES}
@@ -123,8 +112,8 @@ def run_full() -> dict:
           f"task overhead {GATE_MACHINE.task_overhead * 1e6:.0f} us")
     grid = [measure_shape(mt, n) for mt, n in GATE_SHAPES]
     gate = gate_verdict(grid)
-    print(f"[gate] full >= {100 * GATE_THRESHOLD:.0f}% faster than 'none' "
-          f"on {len(gate['passing'])} shapes "
+    print(f"[gate] adaptive >= {100 * GATE_THRESHOLD:.0f}% faster than "
+          f"'none' on {len(gate['passing'])} shapes "
           f"(need {GATE_MIN_SHAPES}): "
           + ("OK" if gate["ok"] else "FAIL")
           + f"  {gate['passing']}")
@@ -144,7 +133,7 @@ def check_smoke(baseline_path: str = BASELINE,
        improvement on >= ``GATE_MIN_SHAPES`` shapes) — catches edits
        that water the baseline down.
     2. The small smoke shapes are re-measured in virtual time and the
-       ``full`` improvement must not fall more than ``slack_pp``
+       ``adaptive`` improvement must not fall more than ``slack_pp``
        percentage points below the committed value — catches scheduling
        regressions without ever touching the expensive n >= 2500 grid.
        (The slack absorbs tiny deflation-count differences across BLAS/
@@ -169,14 +158,14 @@ def check_smoke(baseline_path: str = BASELINE,
             failures.append(f"baseline smoke misses shape type{mt} n={n}")
             continue
         cur = measure_shape(mt, n)
-        drop = 100 * (ref["improvement"]["full"]
-                      - cur["improvement"]["full"])
+        drop = 100 * (ref["improvement"]["adaptive"]
+                      - cur["improvement"]["adaptive"])
         if drop > slack_pp:
             failures.append(
-                f"type{mt} n={n}: 'full' improvement "
-                f"{100 * cur['improvement']['full']:.2f}% fell "
+                f"type{mt} n={n}: 'adaptive' improvement "
+                f"{100 * cur['improvement']['adaptive']:.2f}% fell "
                 f"{drop:.1f}pp below committed "
-                f"{100 * ref['improvement']['full']:.2f}%")
+                f"{100 * ref['improvement']['adaptive']:.2f}%")
     return failures
 
 

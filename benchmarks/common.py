@@ -36,36 +36,24 @@ def save_table(name: str, text: str) -> None:
     print(f"\n{text}\n[saved to {path}]")
 
 
-def bench_provenance(priority_mode: str | None = None) -> dict:
-    """Scheduling provenance stamped into every BENCH JSON envelope.
+def bench_provenance() -> dict:
+    """Host provenance stamped into every BENCH JSON envelope.
 
     Committed ``BENCH_*.json`` baselines gate regressions, so they must
-    be self-describing about the scheduling configuration that produced
-    them: the active calibration (source + rate key, which determines
-    b-level priorities and adaptive panel widths), the priority mode,
-    and the CPU count of the producing host.
+    say how many CPUs the producing host had: a parallel speedup is
+    only evidence where ``cpu_count >= n_workers``.
     """
-    from repro.core.calibrate import get_calibration
-
-    cal = get_calibration()
-    return {
-        "calibration_source": cal.source,
-        "calibration_key": list(cal.key),
-        "priority_mode": (priority_mode if priority_mode is not None
-                          else DCOptions().priority_mode),
-        "cpu_count": os.cpu_count(),
-    }
+    return {"cpu_count": os.cpu_count()}
 
 
 def write_bench_json(name: str, payload: dict, *,
                      directory: str | None = None,
-                     telemetry: dict | None = None,
-                     priority_mode: str | None = None) -> str:
+                     telemetry: dict | None = None) -> str:
     """Persist a benchmark result as machine-readable JSON.
 
     Writes ``<directory or benchmarks/results>/<name>.json`` with the
     payload wrapped in a small envelope (benchmark name, python/numpy
-    versions, platform, scheduling provenance) so regression tooling can
+    versions, platform, host provenance) so regression tooling can
     compare runs.  Returns the path written.
 
     ``telemetry`` — optional compact observability block (typically
@@ -73,10 +61,6 @@ def write_bench_json(name: str, payload: dict, *,
     rate, idle fraction, cache hit rate, ...) stored alongside the
     results so regression gates can key on scheduler behaviour, not just
     wall time.
-
-    ``priority_mode`` — the task-priority policy the benchmark ran with,
-    recorded in the provenance block (default: the ``DCOptions``
-    default).
     """
     out_dir = directory or RESULTS_DIR
     os.makedirs(out_dir, exist_ok=True)
@@ -86,7 +70,7 @@ def write_bench_json(name: str, payload: dict, *,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "provenance": bench_provenance(priority_mode),
+        "provenance": bench_provenance(),
         "results": payload,
     }
     if telemetry is not None:

@@ -28,6 +28,8 @@ import numpy as np
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .core.session import BACKENDS
+
     p = argparse.ArgumentParser(
         prog="repro-eig",
         description="Task-flow D&C symmetric tridiagonal eigensolver "
@@ -41,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--solver", default="dc",
                    choices=["dc", "mrrr", "qr", "bi", "lapack-dc"],
                    help="eigensolver")
-    s.add_argument("--backend", default="sequential",
-                   choices=["sequential", "threads", "processes",
-                            "simulated"],
+    s.add_argument("--backend", default="sequential", choices=BACKENDS,
                    help="runtime backend (dc solvers only)")
     s.add_argument("--workers", type=int, default=None,
                    help="worker threads / processes / virtual cores")
@@ -67,10 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "task:SEQ | kernel:NAME[:NTH] | p:PROB[:SEED]")
     s.add_argument("--nb", type=int, default=None,
                    help="panel width (dc solver only; default: auto)")
-    s.add_argument("--priority-mode", default=None,
-                   choices=["none", "blevel"],
-                   help="task priorities: b-level critical path (default) "
-                        "or none (dc solver only)")
     s.add_argument("--seed", type=int, default=0)
 
     v = sub.add_parser("svd", help="D&C SVD of a random dense matrix")
@@ -90,9 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--size", type=int, default=None,
                    help="matrix size (alias of --n)")
     t.add_argument("--cores", type=int, default=16)
-    t.add_argument("--backend", default="simulated",
-                   choices=["simulated", "threads", "processes",
-                            "sequential"],
+    t.add_argument("--backend", default="simulated", choices=BACKENDS,
                    help="runtime backend to trace (threads exposes the "
                         "work-stealing counters; processes shows "
                         "proc-worker lanes)")
@@ -105,10 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--jobz", default="V", choices=["V", "N"],
                    help="V = eigenpairs (default); N = eigenvalues only "
                         "(trace the reduced strip DAG)")
-    t.add_argument("--priority-mode", default=None,
-                   choices=["none", "blevel"],
-                   help="task priorities: b-level critical path (default) "
-                        "or none")
     t.add_argument("--width", type=int, default=100, help="chart width")
     t.add_argument("--out", default=None, metavar="DIR",
                    help="dump trace.jsonl, trace_chrome.json, gantt.txt, "
@@ -121,9 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--port", type=int, default=9100,
                    help="HTTP port (0 = ephemeral; printed on startup)")
     q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--backend", default="threads",
-                   choices=["sequential", "threads", "processes",
-                            "simulated"])
+    q.add_argument("--backend", default="threads", choices=BACKENDS)
     q.add_argument("--workers", type=int, default=None,
                    help="worker threads / processes (default: one per "
                         "core)")
@@ -183,8 +171,6 @@ def _cmd_solve(args) -> int:
                          fault_injection=(FaultSpec.parse(inject)
                                           if inject else None),
                          nb=getattr(args, "nb", None))
-        if getattr(args, "priority_mode", None):
-            opts = opts.with_(priority_mode=args.priority_mode)
         try:
             if use_session:
                 # Repeated solves share one session: persistent workers,
@@ -261,8 +247,6 @@ def _cmd_trace(args) -> int:
         opts = opts.with_(nb=args.nb)
     if getattr(args, "jobz", "V") != "V":
         opts = opts.with_(jobz=args.jobz)
-    if getattr(args, "priority_mode", None):
-        opts = opts.with_(priority_mode=args.priority_mode)
     res = dc_eigh(d, e, options=opts, backend=args.backend,
                   n_workers=args.cores, full_result=True)
     gantt = res.trace.gantt(width=args.width)

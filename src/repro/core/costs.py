@@ -24,6 +24,10 @@ __all__ = [
     "cost_strip_update", "cost_update_eig",
 ]
 
+#: Mean LAED4 iterations per secular root, charged by :func:`cost_laed4`
+#: and by the adaptive-nb cost floor.
+SECULAR_SWEEPS = 10.0
+
 
 def cost_compute_deflation(n: int) -> TaskCost:
     """Θ(n) scan + O(n log n) merge sort; trivially cheap (paper: <1%)."""
@@ -42,18 +46,9 @@ def cost_permute(rows_moved: float) -> TaskCost:
     return TaskCost(bytes_moved=16.0 * rows_moved)
 
 
-def cost_laed4(k: int, m: int, sweeps: float | None = None) -> TaskCost:
-    """Secular solve for m roots against k poles: Θ(k·m) per sweep.
-
-    ``sweeps`` defaults to the active calibration's measured mean
-    iteration count per root (``Calibration.secular_sweeps``, probed at
-    calibration time); without calibration this resolves to the
-    historical constant 10.0.
-    """
-    if sweeps is None:
-        from .calibrate import get_calibration
-        sweeps = get_calibration().secular_sweeps
-    return TaskCost(flops=6.0 * sweeps * k * m)
+def cost_laed4(k: int, m: int) -> TaskCost:
+    """Secular solve for m roots against k poles: Θ(k·m) per sweep."""
+    return TaskCost(flops=6.0 * SECULAR_SWEEPS * k * m)
 
 
 def cost_local_w(k: int, m: int) -> TaskCost:

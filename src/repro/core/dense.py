@@ -31,7 +31,7 @@ def eigh(a: np.ndarray, *, options: Optional[DCOptions] = None,
     ascending.  The tridiagonal stage uses the task-flow D&C solver; the
     back-transformation (Eq. 3, "relies on matrix products and is
     already efficient") runs as independent column-panel tasks on the
-    same runtime backend.
+    same runtime backend (on threads when ``backend="processes"``).
 
     ``two_stage=True`` reduces via the PLASMA-style two-stage pipeline
     (dense → band of the given ``bandwidth`` → tridiagonal by bulge
@@ -56,8 +56,11 @@ def eigh(a: np.ndarray, *, options: Optional[DCOptions] = None,
                       n_workers=n_workers)
     # Task-flow back-transformation: reflectors act on rows, so column
     # panels transform independently (GATHERV on the output matrix).
+    # The panels are closures over ``out``, which only in-process
+    # backends can run, so a process-backed solve applies Q on threads.
     out = np.array(vt, copy=True, order="F")
-    quark = Quark(backend, n_workers=n_workers)
+    quark = Quark("threads" if backend == "processes" else backend,
+                  n_workers=n_workers)
     hV = DataHandle("V-back")
     for (p0, p1) in panel_ranges(n, opts.effective_nb(n)):
         quark.insert_task(

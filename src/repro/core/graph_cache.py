@@ -59,33 +59,24 @@ def template_key(n: int, opts: DCOptions,
     part of the key defensively (shape reuse across subset sizes would
     still be correct; distinct keys keep the cache semantics obvious).
 
-    The scheduling layer contributes too: ``priority_mode`` selects
-    whether cached tasks carry b-level priorities, adaptive mode makes
-    panel counts depend on the planned worker count, and the active
-    calibration's value key covers both the adaptive cost floor and the
-    priority scale (a recalibrated process must not reuse stale
-    priorities or widths).
+    The panel-width policy contributes too: adaptive mode makes panel
+    counts depend on the planned worker count.
     """
-    from .calibrate import get_calibration
     adaptive = opts.adaptive_nb and opts.nb is None
-    scheduling = (opts.priority_mode,
-                  adaptive,
-                  opts.resolved_parallelism() if adaptive else 0,
-                  get_calibration().key
-                  if (adaptive or opts.priority_mode == "blevel") else None)
     return (n, opts.jobz, opts.minpart, opts.effective_nb(n),
             opts.fork_join, opts.level_barrier, opts.extra_workspace,
-            subset_size, scheduling)
+            subset_size, adaptive,
+            opts.resolved_parallelism() if adaptive else 0)
 
 
 class _TaskDescriptor:
     """Shape-only recipe for rebinding one task onto a fresh solve."""
 
-    __slots__ = ("kind", "span", "method", "args", "name", "tag", "priority",
+    __slots__ = ("kind", "span", "method", "args", "name", "tag",
                  "static_cost")
 
     def __init__(self, kind: str, span: Optional[tuple[int, int]],
-                 method: str, args: tuple, name: str, tag, priority: int,
+                 method: str, args: tuple, name: str, tag,
                  static_cost: Optional[TaskCost]):
         self.kind = kind            # "ctx" | "state" | "noop"
         self.span = span            # merge node (lo, hi) for kind="state"
@@ -93,7 +84,6 @@ class _TaskDescriptor:
         self.args = args
         self.name = name
         self.tag = tag
-        self.priority = priority
         self.static_cost = static_cost   # shape-only costs, reused as-is
 
 
@@ -171,7 +161,7 @@ def build_template(graph: TaskGraph, info: DCGraphInfo,
         static_cost = t.cost if not callable(t.cost) else None
         descriptors.append(_TaskDescriptor(
             kind, span, getattr(t.func, "__name__", ""), t.args,
-            t.name, t.tag, t.priority, static_cost))
+            t.name, t.tag, static_cost))
     successors = [[index_of[s.uid] for s in t.successors]
                   for t in graph.tasks]
     n_deps = [t.n_deps for t in graph.tasks]
@@ -213,7 +203,7 @@ def instantiate(template: GraphTemplate,
         else:
             func, cost = _noop, d.static_cost
         task = Task(func, (), args=d.args, name=d.name, cost=cost,
-                    priority=d.priority, tag=d.tag)
+                    tag=d.tag)
         task.seq = i
         task.n_deps = template.n_deps[i]
         tasks.append(task)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from .costs import SECULAR_SWEEPS
+
 #: Adaptive-nb policy constants: spine levels aim for ``OVERSUB x
 #: workers`` panels across the level; no panel narrower than 16 columns
 #: or ``OVERHEAD_RATIO`` per-task dispatch costs of work.  OVERSUB = 3
@@ -16,6 +18,16 @@ from typing import Any
 _ADAPTIVE_OVERSUB = 3
 _ADAPTIVE_MIN_NB = 16
 _ADAPTIVE_OVERHEAD_RATIO = 20
+
+#: Rates behind the adaptive cost floor: vectorized elementwise kernels
+#: at ~4 Gflop/s, BLAS-3 GEMM at ~40 Gflop/s, and ~15 us of runtime
+#: dispatch per task (the wall-clock ledger measures 13-22 us per no-op
+#: task on two workers).  Fixed constants rather than host probes, so
+#: the adaptive panel plan — part of the DAG shape, and so of the bits —
+#: is the same on every machine.
+_FLOP_RATE = 4.0e9
+_GEMM_FLOP_RATE = 40.0e9
+TASK_OVERHEAD_S = 15.0e-6
 
 
 @dataclass(frozen=True)
@@ -82,21 +94,13 @@ class DCOptions:
         task N / kernel name / probability with seed), exercising the
         cancellation and error-propagation paths.  ``None`` (default)
         adds no work to the hot path.
-    ``priority_mode``
-        ``"blevel"`` (default): every task is submitted with its
-        bottom-level priority — the cost-weighted longest path from the
-        task to the DAG sink, in calibrated seconds (see
-        :mod:`repro.core.calibrate`) — so all backends run the
-        critical path first.  ``"none"`` submits every task at priority
-        0 (the pre-scheduling-layer behavior).  Priorities only reorder
-        independent work: numerics are bitwise identical either way.
     ``adaptive_nb``
         When True (and ``nb`` is None), the panel width is chosen per
         merge level instead of globally: merges deep in the tree, where
         sibling subproblems already saturate the workers, get one full
         panel (fewer tasks, less dispatch overhead); merges on the
         spine split into enough panels to feed the workers, never
-        narrower than the calibrated cost floor (panel work at least
+        narrower than the cost floor (panel work at least
         ``_ADAPTIVE_OVERHEAD_RATIO`` x the per-task dispatch cost).
         Default False: panel boundaries change the association of the
         ``ReduceW`` partial products (last-ulp differences), so the
@@ -115,7 +119,7 @@ class DCOptions:
         solve that fails (``TaskFailure``/``ConvergenceError``/...) or
         degrades to the STEQR fallback dumps a JSONL post-mortem — the
         flight recorder's recent events, this options record, the fault
-        spec, the calibration key, and pool/workspace stats — via
+        spec, and pool/workspace stats — via
         :func:`repro.obs.live.write_postmortem`.  ``None`` (default)
         writes nothing; numerics are unaffected either way.
     """
@@ -130,7 +134,6 @@ class DCOptions:
     reuse_graph: bool = False
     telemetry: Any = field(default=None, compare=False)
     fault_injection: Any = None
-    priority_mode: str = "blevel"
     adaptive_nb: bool = False
     target_parallelism: int | None = None
     postmortem_dir: str | None = None
@@ -142,9 +145,6 @@ class DCOptions:
             raise ValueError("minpart must be >= 1")
         if self.nb is not None and self.nb < 1:
             raise ValueError("nb must be >= 1")
-        if self.priority_mode not in ("none", "blevel"):
-            raise ValueError("priority_mode must be 'none' or 'blevel', "
-                             f"got {self.priority_mode!r}")
         if self.target_parallelism is not None and self.target_parallelism < 1:
             raise ValueError("target_parallelism must be >= 1")
 
@@ -167,9 +167,9 @@ class DCOptions:
         level policy: a level with at least ``resolved_parallelism()``
         concurrent merges gets one full-width panel per merge; spine
         levels split into ``_ADAPTIVE_OVERSUB x workers / concurrent``
-        panels, clamped below by the calibrated cost floor so no panel
-        task is smaller than ``_ADAPTIVE_OVERHEAD_RATIO`` dispatch
-        overheads of work.
+        panels, clamped below by the cost floor so no panel task is
+        smaller than ``_ADAPTIVE_OVERHEAD_RATIO`` dispatch overheads of
+        work.
         """
         if self.nb is not None or not self.adaptive_nb:
             return self.effective_nb(n)
@@ -185,18 +185,13 @@ class DCOptions:
 
     def _nb_cost_floor(self, node_n: int) -> int:
         """Smallest panel width whose per-panel work still dwarfs the
-        calibrated per-task dispatch cost."""
-        from .calibrate import get_calibration
-        cal = get_calibration()
+        per-task dispatch cost."""
         # Per-column work of the merge panel pipeline at zero deflation
         # (k = node_n): the UpdateVect GEMM column plus the secular /
         # stabilization Theta(k) kernels.
-        per_col_s = (float(node_n) * node_n / cal.gemm_flop_rate
-                     + 6.0 * (cal.secular_sweeps + 2.0) * node_n
-                     / cal.flop_rate)
-        if per_col_s <= 0.0:
-            return 1
-        want_s = _ADAPTIVE_OVERHEAD_RATIO * cal.task_overhead_s
+        per_col_s = (float(node_n) * node_n / _GEMM_FLOP_RATE
+                     + 6.0 * (SECULAR_SWEEPS + 2.0) * node_n / _FLOP_RATE)
+        want_s = _ADAPTIVE_OVERHEAD_RATIO * TASK_OVERHEAD_S
         return max(1, math.ceil(want_s / per_col_s))
 
     def with_(self, **kwargs) -> "DCOptions":

@@ -46,6 +46,11 @@ def taskflow_tridiagonalize(a: np.ndarray, *,
     Returns a :class:`~repro.kernels.householder.Tridiagonalization`
     (same contract as the sequential kernel: ``apply_q``/``q()`` work on
     it), or ``(tri, trace, graph)`` when ``full_result=True``.
+
+    ``backend`` is one of :data:`~repro.runtime.quark.QUARK_BACKENDS`.
+    The tasks are closures over the working matrix, so
+    ``backend="processes"`` raises :class:`~repro.errors.InputError`
+    before any task runs.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -55,6 +60,7 @@ def taskflow_tridiagonalize(a: np.ndarray, *,
     if n > 1 and not np.allclose(a, a.T, atol=1e-12 * scale):
         raise ValueError("matrix must be symmetric")
     tile = tile or max(32, n // 16)
+    quark = Quark(backend, n_workers=n_workers, machine=machine)
 
     work = np.array(a, copy=True)
     d = np.empty(n)
@@ -64,7 +70,6 @@ def taskflow_tridiagonalize(a: np.ndarray, *,
     state = {"v": None, "w": None, "tau": 0.0,
              "wparts": {}}
 
-    quark = Quark(backend, n_workers=n_workers, machine=machine)
     htile = {t0: DataHandle(f"A[:, {t0}:{t1}]")
              for (t0, t1) in panel_ranges(n, tile)}
     tiles = list(panel_ranges(n, tile))

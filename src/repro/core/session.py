@@ -52,7 +52,10 @@ from .tasks import DCGraphInfo, submit_dc
 from .tree import build_tree
 
 __all__ = ["SolverSession", "SolveHandle", "WorkspacePool",
-           "SharedWorkspacePool"]
+           "SharedWorkspacePool", "BACKENDS"]
+
+#: Execution backends a session (and so ``dc_eigh``) accepts.
+BACKENDS = ("sequential", "threads", "processes", "simulated")
 
 
 class WorkspacePool:
@@ -430,8 +433,7 @@ class SolverSession:
                  serve_host: str = "127.0.0.1",
                  profile_interval_s: Optional[float] = None,
                  _one_shot: bool = False):
-        if backend not in ("sequential", "threads", "processes",
-                           "simulated"):
+        if backend not in BACKENDS:
             raise InputError(f"unknown backend {backend!r}")
         self.backend = backend
         self.machine = machine if machine is not None else (

@@ -12,6 +12,10 @@ qualifiers described in the paper:
   every kernel regardless of deflation; tasks whose panel falls entirely
   in the deflated range become no-ops at execution time.
 
+Every task is submitted at priority 0, so ready tasks run in submission
+order (QUARK's sequential task flow); the panel-width policy
+(``DCOptions.node_nb``) is the only scheduling decision made here.
+
 Scheduling variants used in the evaluation are expressed purely with
 extra dependencies:
 
@@ -33,42 +37,23 @@ z.  ``'V'`` additionally runs the classic eigenvector kernels
 ``'N'`` omits them all — no O(n·k) task remains, the root merge writes
 eigenvalues with O(m)-per-panel ``UpdateEig`` tasks, and the DAG's
 auxiliary state is O(n).
+
+Task costs (:mod:`repro.core.costs`) are what the discrete-event
+simulator charges: shape-only costs are static, deflation-dependent
+ones are closures evaluated when the task starts.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from typing import Optional
-
-import numpy as np
 
 from ..runtime.dag import TaskGraph
 from ..runtime.task import DataHandle, INPUT, INOUT, OUTPUT, GATHERV, TaskCost
 from . import costs
-from .calibrate import get_calibration
 from .merge import DCContext, MergeState, panel_ranges
-from .options import DCOptions
 from .tree import Node, build_tree
 
 __all__ = ["submit_dc", "DCGraphInfo"]
-
-#: Seconds per priority unit.  b-levels are quantized coarsely — 0.5 ms
-#: per unit — on purpose: tasks within ~one quantum of critical path
-#: keep equal priority and fall back to FIFO submission order, which
-#: pipelines one merge's kernels to completion instead of starting every
-#: ready merge's memory-bound phase at once (bandwidth saturation; on
-#: high-deflation matrices a fine 10 us quantum measurably *hurt* the
-#: simulated makespan).  Cross-level and cross-problem (fused super-DAG)
-#: differences are far larger than the quantum, so the critical-path
-#: preference survives quantization.
-_PRIORITY_QUANTUM = 500e-6
-
-#: Assumed deflation ratio of the shape-only cost estimates behind the
-#: b-level pass.  Real costs depend on deflation counts unknown until
-#: execution; the DAG (and therefore the priorities) must stay matrix
-#: independent, so estimates assume a fixed moderate ratio.
-_EST_DEFLATION = 0.25
 
 
 class DCGraphInfo:
@@ -83,13 +68,7 @@ class DCGraphInfo:
 
 def submit_dc(graph: TaskGraph, ctx: DCContext,
               tree: Optional[Node] = None) -> DCGraphInfo:
-    """Insert the complete D&C task flow for ``ctx`` into ``graph``.
-
-    With ``opts.priority_mode == "blevel"`` every inserted task also
-    receives its bottom-level priority: the longest path, in calibrated
-    seconds of shape-only cost estimates, from the task to the DAG sink
-    (computed in one reverse sweep once the whole flow is submitted).
-    """
+    """Insert the complete D&C task flow for ``ctx`` into ``graph``."""
     opts = ctx.opts
     n = ctx.n
     tree = tree or build_tree(n, opts.minpart)
@@ -108,25 +87,11 @@ def submit_dc(graph: TaskGraph, ctx: DCContext,
             base = list(base) + [(serial, GATHERV if parallel else INOUT)]
         return base
 
-    # Shape-only duration estimates (calibrated seconds) collected per
-    # task for the b-level pass; ``None`` when priorities are off.
-    start = graph.n_tasks
-    cal = get_calibration()
-    estimates: Optional[list[float]] = \
-        [] if opts.priority_mode == "blevel" else None
-
-    def ins(func, accesses, *, est, name, args=(), cost=None, tag=None):
-        t = graph.insert_task(func, accesses, args=args, name=name,
-                              cost=cost if cost is not None else est,
-                              tag=tag)
-        if estimates is not None:
-            estimates.append(cal.seconds(est, name))
-        return t
-
+    ins = graph.insert_task
     ins(ctx.t_scale, acc([(hT, INOUT)]), name="ScaleT",
-        est=costs.cost_scale(n))
+        cost=costs.cost_scale(n))
     ins(ctx.t_partition, acc([(hT, INOUT)]), args=(tree,),
-        name="Partition", est=costs.cost_scale(n))
+        name="Partition", cost=costs.cost_scale(n))
 
     # --- leaves ---------------------------------------------------------
     for leaf in tree.leaves():
@@ -135,11 +100,11 @@ def submit_dc(graph: TaskGraph, ctx: DCContext,
         if opts.jobz == "V":
             ins(ctx.t_laset, acc([(h, OUTPUT)]), args=(leaf,),
                 name="LASET", tag=(leaf.lo, leaf.hi),
-                est=costs.cost_laset(n, leaf.n))
+                cost=costs.cost_laset(n, leaf.n))
         ins(ctx.t_stedc_leaf,
             acc([(hT, INPUT), (h, INOUT)]), args=(leaf,),
             name="STEDC", tag=(leaf.lo, leaf.hi),
-            est=costs.cost_stedc(leaf.n))
+            cost=costs.cost_stedc(leaf.n))
 
     # --- merges, bottom-up with optional level barriers ------------------
     rec = ctx.obs
@@ -152,7 +117,7 @@ def submit_dc(graph: TaskGraph, ctx: DCContext,
             deps += [(info.hV[(nd.right.lo, nd.right.hi)], INPUT)
                      for nd in level_nodes]
             ins(lambda: None, acc(deps + [(hbar, OUTPUT)]),
-                name="LevelBarrier", est=TaskCost())
+                name="LevelBarrier", cost=TaskCost())
             prev_level_barrier = hbar
         if rec.enabled and level_nodes:
             rec.observe("schedule.level_nb",
@@ -164,79 +129,22 @@ def submit_dc(graph: TaskGraph, ctx: DCContext,
     hroot = info.hV[(tree.lo, tree.hi)]
     hsort = DataHandle("sort-order")
     ins(ctx.t_sort_join, acc([(hroot, INPUT), (hsort, OUTPUT)]),
-        name="SortEigenvectors", est=costs.cost_scale(n))
+        name="SortEigenvectors", cost=costs.cost_scale(n))
     if opts.jobz == "V":
         hVout = DataHandle("V-sorted")
         for (p0, p1) in panel_ranges(n, opts.node_nb(n, n)):
             ins(ctx.t_sort_panel,
                 acc([(hsort, INPUT), (hroot, INPUT), (hVout, GATHERV)]),
                 args=(p0, p1), name="SortEigenvectors", tag=("sort", p0),
-                est=costs.cost_sort(n, p1 - p0))
+                cost=costs.cost_sort(n, p1 - p0))
         ins(ctx.t_scale_back, acc([(hsort, INPUT), (hVout, INOUT)]),
-            name="ScaleBack", est=costs.cost_scale(n))
+            name="ScaleBack", cost=costs.cost_scale(n))
     else:
         # jobz='N': no eigenvector panels to reorder, only the
         # eigenvalue array is unscaled.
         ins(ctx.t_scale_back, acc([(hsort, INOUT)]),
-            name="ScaleBack", est=costs.cost_scale(n))
-
-    if estimates is not None:
-        _assign_blevels(graph, start, estimates, rec)
+            name="ScaleBack", cost=costs.cost_scale(n))
     return info
-
-
-def _assign_blevels(graph: TaskGraph, start: int,
-                    estimates: list[float], rec) -> None:
-    """One reverse sweep over the tasks submitted since ``start``:
-    ``bl[t] = est[t] + max(bl[successors])``, quantized to
-    ``_PRIORITY_QUANTUM`` so priorities of independently submitted
-    (later fused) problems compare as remaining-path seconds."""
-    t0 = time.perf_counter()
-    tasks = graph.tasks[start:]
-    bl = [0.0] * len(tasks)
-    for i in range(len(tasks) - 1, -1, -1):
-        t = tasks[i]
-        succ = 0.0
-        for s in t.successors:
-            # Successors of this submission slice stay inside it: edges
-            # point forward in seq and nothing later exists yet.
-            b = bl[s.seq - start]
-            if b > succ:
-                succ = b
-        bl[i] = estimates[i] + succ
-        t.priority = int(bl[i] / _PRIORITY_QUANTUM)
-    if rec.enabled and tasks:
-        rec.add("schedule.blevel_tasks", float(len(tasks)))
-        rec.add("schedule.blevel_s", time.perf_counter() - t0)
-        pr = [t.priority for t in tasks]
-        rec.gauge_max("schedule.priority_span", float(max(pr) - min(pr)))
-
-
-def _merge_estimates(node_n: int, npan: int, n_rot_groups: int,
-                     cal) -> dict[str, TaskCost]:
-    """Shape-only per-task cost estimates of one merge at the assumed
-    deflation ratio (see ``_EST_DEFLATION``)."""
-    d = _EST_DEFLATION
-    k = max(1, int(round((1.0 - d) * node_n)))
-    m = max(1, -(-node_n // npan))          # panel width (ceil)
-    mk = max(1, int(round((1.0 - d) * m)))  # non-deflated roots per panel
-    n1 = node_n - node_n // 2
-    return {
-        "ApplyGivens": costs.cost_apply_givens(
-            node_n, d * node_n / max(1, n_rot_groups)),
-        "PermuteV": costs.cost_permute((1.0 - d) * m * node_n),
-        "LAED4": costs.cost_laed4(k, mk, sweeps=cal.secular_sweeps),
-        "ComputeLocalW": costs.cost_local_w(k, mk),
-        "ReduceW": costs.cost_reduce_w(k, npan),
-        "CopyBackDeflated": costs.cost_copyback(d * m * node_n),
-        "ComputeVect": costs.cost_compute_vect(k, mk),
-        "UpdateVect": costs.cost_update_vect(n1, node_n - n1,
-                                             k - k // 2, k // 2, m),
-        "GivensStrip": costs.cost_strip_rotate(node_n, d * node_n),
-        "PermuteStrip": costs.cost_strip_permute(node_n),
-        "UpdateStrip": costs.cost_strip_update(k, mk),
-        "UpdateEig": costs.cost_update_eig(m),
-    }
 
 
 def _submit_merge(ins, info: DCGraphInfo, node: Node,
@@ -268,12 +176,11 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
     # matrix-independent and every panel task's dependency count O(1));
     # chains are distributed round-robin at execution time.
     n_rot_groups = min(npan, 4)
-    est = _merge_estimates(node.n, npan, n_rot_groups, get_calibration())
 
     ins(st.t_compute_deflation,
         acc([(hL, INPUT), (hR, INPUT), (hdefl, OUTPUT)] + barrier_dep),
         name="Compute_deflation", tag=tag,
-        est=costs.cost_compute_deflation(node.n))
+        cost=costs.cost_compute_deflation(node.n))
 
     # Boundary-row strip pipeline (both modes; skipped at the root, whose
     # strip has no consumer).  One task each — the strip is 2 rows, so
@@ -284,19 +191,19 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
         hP = DataHandle(f"P[{node.lo}:{node.hi}]")
         hPws = DataHandle(f"Pws[{node.lo}:{node.hi}]")
         ins(st.t_givens_strip, acc([(hdefl, INPUT), (hP, OUTPUT)]),
-            name="GivensStrip", tag=tag, est=est["GivensStrip"],
+            name="GivensStrip", tag=tag,
             cost=(lambda s=st:
                   costs.cost_strip_rotate(s.n, s.strip_rotations())))
         ins(st.t_permute_strip,
             acc([(hdefl, INPUT), (hP, INPUT), (hPws, OUTPUT)]),
-            name="PermuteStrip", tag=tag, est=est["PermuteStrip"])
+            name="PermuteStrip", tag=tag,
+            cost=costs.cost_strip_permute(node.n))
 
     if not eig_only:
         for g in range(n_rot_groups):
             ins(st.t_apply_givens,
                 acc([(hdefl, INPUT), (hL, GATHERV), (hR, GATHERV)]),
                 args=(g, n_rot_groups), name="ApplyGivens", tag=tag,
-                est=est["ApplyGivens"],
                 cost=(lambda s=st, g=g, m=n_rot_groups:
                       costs.cost_apply_givens(
                           s.n, sum(len(c) for c in s.chains[g::m]))))
@@ -306,7 +213,6 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
                 acc([(hdefl, INPUT), (hL, INPUT), (hR, INPUT),
                      (hVws, GATHERV)]),
                 args=(p0, p1), name="PermuteV", tag=tag,
-                est=est["PermuteV"],
                 cost=(lambda s=st, a=p0, b=p1:
                       costs.cost_permute(s.permute_rows_moved(a, b))))
 
@@ -319,18 +225,16 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
             laed4_acc.append((hVws, INPUT))
         ins(st.t_laed4_panel, acc(laed4_acc),
             args=(p0, p1), name="LAED4", tag=tag,
-            est=est["LAED4"],
             cost=(lambda s=st, a=p0, b=p1:
                   costs.cost_laed4(s.k, s.clip_roots(a, b).size)))
         ins(st.t_local_w_panel,
             acc([(hdefl, INPUT), (hsec[pid], INPUT), (hW, GATHERV)]),
             args=(p0, p1, pid), name="ComputeLocalW", tag=tag,
-            est=est["ComputeLocalW"],
             cost=(lambda s=st, a=p0, b=p1:
                   costs.cost_local_w(s.k, s.clip_roots(a, b).size)))
 
     ins(st.t_reduce_w, acc([(hdefl, INPUT), (hW, INOUT)]),
-        name="ReduceW", tag=tag, est=est["ReduceW"],
+        name="ReduceW", tag=tag,
         cost=(lambda s=st, m=npan: costs.cost_reduce_w(s.k, m)))
 
     if not eig_only:
@@ -339,7 +243,6 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
                 acc([(hdefl, INPUT), (hVws, INPUT),
                      (hV, GATHERV), (hcb, GATHERV)]),
                 args=(p0, p1), name="CopyBackDeflated", tag=tag,
-                est=est["CopyBackDeflated"],
                 cost=(lambda s=st, a=p0, b=p1:
                       costs.cost_copyback(s.copyback_rows_moved(a, b))))
 
@@ -351,7 +254,6 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
                 cv_acc.append((hcb, INPUT))
             ins(st.t_compute_vect_panel, acc(cv_acc),
                 args=(p0, p1), name="ComputeVect", tag=tag,
-                est=est["ComputeVect"],
                 cost=(lambda s=st, a=p0, b=p1:
                       costs.cost_compute_vect(s.k, s.clip_roots(a, b).size)))
 
@@ -364,7 +266,6 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
                      (hX[pid], INPUT), (hV, GATHERV)],
                     parallel=True),
                 args=(p0, p1), name="UpdateVect", tag=tag,
-                est=est["UpdateVect"],
                 cost=(lambda s=st, a=p0, b=p1:
                       costs.cost_update_vect(*s.update_vect_shape(a, b))))
 
@@ -379,7 +280,6 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
                 acc([(hdefl, INPUT), (hsec[pid], INPUT), (hW, INPUT),
                      (hPws, INPUT), (hV, GATHERV)]),
                 args=(p0, p1), name="UpdateStrip", tag=tag,
-                est=est["UpdateStrip"],
                 cost=(lambda s=st, a=p0, b=p1:
                       costs.cost_strip_update(s.k,
                                               s.clip_roots(a, b).size)))
@@ -389,6 +289,5 @@ def _submit_merge(ins, info: DCGraphInfo, node: Node,
                 acc([(hdefl, INPUT), (hsec[pid], INPUT), (hW, INPUT),
                      (hV, GATHERV)]),
                 args=(p0, p1), name="UpdateEig", tag=tag,
-                est=est["UpdateEig"],
                 cost=(lambda s=st, a=p0, b=p1:
                       costs.cost_update_eig(s.clip_roots(a, b).size)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -50,23 +49,10 @@ def rot(x: np.ndarray, y: np.ndarray, c: float, s: float) -> None:
 #: gather/scatter machinery.
 _MIN_BATCH_CHAINS = 8
 
-#: Cached batched-vs-streaming crossover height (columns taller than
-#: this stream; shorter ones batch).  Resolved lazily from the active
-#: :mod:`repro.core.calibrate` calibration; ``set_calibration`` resets it.
-_crossover: Optional[int] = None
-
-
-def _reset_crossover_cache() -> None:
-    global _crossover
-    _crossover = None
-
-
-def _crossover_height() -> int:
-    global _crossover
-    if _crossover is None:
-        from ..core.calibrate import get_calibration
-        _crossover = get_calibration().givens_crossover
-    return _crossover
+#: Batched-vs-streaming crossover height: blocks taller than this
+#: stream, shorter ones batch (the streaming path wins on tall blocks,
+#: whose columns stay cache-resident).
+_CROSSOVER_HEIGHT = 512
 
 
 def _apply_streaming(V: np.ndarray, lo: int, hi: int, chains) -> None:
@@ -129,15 +115,14 @@ def apply_rotation_chains(V: np.ndarray, lo: int, hi: int, chains) -> None:
     * ``_apply_batched`` — vectorized rounds across chains; wins when
       many short columns amortize the gather/scatter machinery.
 
-    The choice is the calibrated crossover height
-    (``Calibration.givens_crossover``): batch only when there are at
-    least ``_MIN_BATCH_CHAINS`` chains *and* the block height ``hi - lo``
-    is at or below the crossover.
+    Batch only when there are at least ``_MIN_BATCH_CHAINS`` chains
+    *and* the block height ``hi - lo`` is at or below
+    ``_CROSSOVER_HEIGHT``.
     """
     chains = [c for c in chains if c]
     if not chains:
         return
-    if len(chains) < _MIN_BATCH_CHAINS or hi - lo > _crossover_height():
+    if len(chains) < _MIN_BATCH_CHAINS or hi - lo > _CROSSOVER_HEIGHT:
         _apply_streaming(V, lo, hi, chains)
     else:
         _apply_batched(V, lo, hi, chains)

@@ -12,8 +12,8 @@ that is always on, bounded, and inspectable while the service runs:
     hot-path cost is one striped-lock acquire plus a bounded-deque
     append per event; memory is capped by construction.  When a solve
     fails (or degrades to the STEQR fallback), the session dumps the
-    ring — plus the solve's options, fault spec, calibration key and
-    pool/workspace stats — as a JSONL *post-mortem bundle* via
+    ring — plus the solve's options, fault spec and pool/workspace
+    stats — as a JSONL *post-mortem bundle* via
     :func:`write_postmortem`.
 
 :class:`Digest`
@@ -516,16 +516,14 @@ def write_postmortem(directory: str, *, reason: str,
     Line 1 is the ``postmortem`` header: the failure reason and typed
     error (with task name/seq/tag/worker for a
     :class:`~repro.errors.TaskFailure` and the chained cause), the
-    solve's options and fault-injector spec, the active calibration key,
-    and the session's pool/workspace/cache stats and digests.  The
-    remaining lines replay the flight recorder's retained events, oldest
-    first.
+    solve's options and fault-injector spec, and the session's
+    pool/workspace/cache stats and digests.  The remaining lines replay
+    the flight recorder's retained events, oldest first.
     """
-    from ..core.calibrate import get_calibration
     from ..errors import TaskFailure
 
     os.makedirs(directory, exist_ok=True)
-    head: dict = {"type": "postmortem", "version": 1, "reason": reason,
+    head: dict = {"type": "postmortem", "version": 2, "reason": reason,
                   "time_unix": time.time(), "pid": os.getpid()}
     if error is not None:
         head["error"] = {"type": type(error).__name__, "message": str(error)}
@@ -541,8 +539,6 @@ def write_postmortem(directory: str, *, reason: str,
                 "message": str(error.__cause__),
             }
     head["options"] = _options_dict(options)
-    cal = get_calibration()
-    head["calibration"] = {"source": cal.source, "key": list(cal.key)}
     if session_stats is not None:
         head["session"] = session_stats
     if metrics is not None:

@@ -17,9 +17,8 @@ Public surface:
   :class:`~repro.runtime.scheduler.ThreadScheduler` /
   :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock in-process
   substrates;
-* :class:`~repro.runtime.procpool.ProcPool` /
-  :class:`~repro.runtime.procpool.ProcScheduler` — process substrates
-  (shared-memory solver pool, generic picklable task flows);
+* :class:`~repro.runtime.procpool.ProcPool` — process substrate of the
+  eigensolver (shared-memory workspaces, replica graphs);
 * :class:`~repro.runtime.simulator.Machine` /
   :class:`~repro.runtime.simulator.SimulatedMachine` — deterministic
   discrete-event execution on a virtual multicore, with
@@ -42,7 +41,7 @@ from .faults import FaultInjector, FaultSpec
 from .scheduler import (PoolRun, SequentialScheduler, ThreadScheduler,
                         WorkerPool, default_thread_workers)
 from .simulator import Machine, SimulatedMachine
-from .procpool import ProcPool, ProcRun, ProcScheduler
+from .procpool import ProcPool, ProcRun
 from .quark import Quark
 from .hetero import Accelerator, HeteroMachine, GPU_OFFLOAD_POLICY
 from .distributed import ClusterMachine, Network, tree_placement
@@ -56,7 +55,7 @@ __all__ = [
     "WorkerStats", "parent_epilogue",
     "SequentialScheduler", "ThreadScheduler",
     "WorkerPool", "PoolRun", "default_thread_workers",
-    "ProcPool", "ProcRun", "ProcScheduler",
+    "ProcPool", "ProcRun",
     "Machine", "SimulatedMachine", "Quark",
     "FaultSpec", "FaultInjector",
     "Accelerator", "HeteroMachine", "GPU_OFFLOAD_POLICY",

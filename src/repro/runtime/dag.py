@@ -175,23 +175,6 @@ class TaskGraph:
             levels[depth[t.uid]].append(t)
         return levels
 
-    def blevels(self, estimate: Callable[[Task], float]) -> list[float]:
-        """Bottom levels: ``bl[t] = estimate(t) + max(bl[successors])``.
-
-        The longest ``estimate``-weighted path from each task to a DAG
-        sink, indexed by ``task.seq``.  Submission order is topological
-        (edges only point from earlier to later ``seq``), so one reverse
-        sweep suffices.  This is the quantity behind b-level list
-        scheduling: a task's bottom level is the remaining critical
-        path once it starts, so scheduling larger b-levels first keeps
-        the spine moving.
-        """
-        bl = [0.0] * len(self.tasks)
-        for t in reversed(self.tasks):
-            succ = max((bl[s.seq] for s in t.successors), default=0.0)
-            bl[t.seq] = estimate(t) + succ
-        return bl
-
     def critical_path_cost(self,
                            duration: Callable[[Task], float]) -> float:
         """Length of the weighted critical path through the DAG."""

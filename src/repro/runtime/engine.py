@@ -6,7 +6,7 @@ module is that runtime's engine: everything the execution backends have
 in common lives here, once —
 
 * :class:`ReadyQueue` — the priority-ordered ready structure (higher
-  b-level priority first, then overall submission order: QUARK's
+  ``Task.priority`` first, then overall submission order: QUARK's
   sequential-task-flow policy), optionally lock-guarded for the
   multi-threaded substrates;
 * :class:`EngineRun` — the run-isolation record: per-run dependency
@@ -55,7 +55,7 @@ __all__ = ["ReadyQueue", "EngineRun", "ExecutionCore", "WorkerStats",
 class ReadyQueue:
     """The one priority-ordered ready structure (QUARK's policy).
 
-    Entries are keyed ``(-priority, order_base + seq)`` — higher b-level
+    Entries are keyed ``(-priority, order_base + seq)`` — higher
     priority first, then overall submission order — with the payload
     ``(task, run)`` kept out of the comparison, so tasks from different
     fused runs interleave by priority without ever comparing ``Task``

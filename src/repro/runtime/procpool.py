@@ -18,10 +18,10 @@ processes while keeping the task-flow semantics of
 * **Replica graphs + state deltas.**  Each worker builds an *identical*
   replica of the solve's :class:`DCContext` and task graph from the
   tiny problem description ``(d, e, opts, subset)`` — graph
-  instantiation is deterministic, and the parent ships its calibration
-  so priorities and panel widths match bit for bit.  Kernels that
-  produce small Python state (deflation results, secular roots, the
-  rank-one vector) return a pickled *delta*; the parent applies it to
+  instantiation is deterministic, so task numbering and panel widths
+  match bit for bit.  Kernels that produce small Python state
+  (deflation results, secular roots, the rank-one vector) return a
+  pickled *delta*; the parent applies it to
   its own replica and broadcasts it to the other workers **before**
   marking successors ready, so FIFO pipe order guarantees every task
   sees its predecessors' state.  Everything O(n²) stays in shared
@@ -29,7 +29,7 @@ processes while keeping the task-flow semantics of
 
 * **Parent-side scheduling.**  The parent's dispatcher thread drives
   the shared engine (:mod:`repro.runtime.engine`): readiness and
-  release through :class:`~repro.runtime.engine.EngineRun`, the b-level
+  release through :class:`~repro.runtime.engine.EngineRun`, the
   priority order through :class:`~repro.runtime.engine.ReadyQueue`
   (same keys as ``WorkerPool``: ``(-priority, order_base + seq)``),
   per-run fault injectors at dispatch, the secular-failure STEQR
@@ -46,7 +46,6 @@ exact pickled copies of the producing kernel's outputs.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import itertools
 import os
 import pickle
@@ -63,10 +62,9 @@ import numpy as np
 
 from ..errors import SchedulerError, TaskFailure
 from .engine import EngineRun, ExecutionCore, ReadyQueue, parent_epilogue
-from .scheduler import default_thread_workers
-from .trace import Trace, TraceEvent
+from .trace import TraceEvent
 
-__all__ = ["ProcPool", "ProcRun", "ProcScheduler"]
+__all__ = ["ProcPool", "ProcRun"]
 
 #: Back-compat alias: the run-isolation record now lives in the engine
 #: (one record shared with the thread substrate's ``PoolRun``).
@@ -282,14 +280,11 @@ def _child_begin(payload: dict, segs: _SegCache) -> dict:
     """Build this worker's replica of one solve: context + graph.
 
     Graph instantiation is deterministic (task ``seq`` numbering follows
-    submission order), and the parent's calibration is installed first,
-    so the replica's DAG is identical to the parent's — same seqs, same
-    priorities, same panel widths.
+    submission order), so the replica's DAG is identical to the
+    parent's — same seqs, same panel widths.
     """
-    from ..core.calibrate import set_calibration
     from ..core.merge import DCContext
 
-    set_calibration(payload["cal"])
     opts = payload["opts"]
     # jobz='N' payloads carry no V/Vws segments — attach whatever the
     # parent shipped (D and the strips are always present).
@@ -613,7 +608,6 @@ class ProcPool:
                 self._ready.push(t, run, base)
 
     def _begin_payload(self, run: EngineRun) -> dict:
-        from ..core.calibrate import get_calibration
         ws = self.workspace
         ctx = run.ctx
         # Strip parent-only machinery: telemetry/flight stay parent-side
@@ -622,7 +616,7 @@ class ProcPool:
         opts = run.opts.with_(telemetry=None, fault_injection=None,
                               postmortem_dir=None)
         payload = {"d": ctx.d_in, "e": ctx.e_in, "subset": ctx.subset,
-                   "opts": opts, "cal": get_calibration(),
+                   "opts": opts,
                    "D": (ws.name_of(ctx.D), ctx.D.shape),
                    "S": (ws.name_of(ctx.S), ctx.S.shape),
                    "P": (ws.name_of(ctx.P), ctx.P.shape),
@@ -933,129 +927,3 @@ class ProcPool:
     @property
     def closed(self) -> bool:
         return self._shutdown
-
-
-# ---------------------------------------------------------------------------
-# Generic process scheduler (Quark facade, backend="processes")
-# ---------------------------------------------------------------------------
-
-
-def _invoke(func, args):
-    """Module-level trampoline so child processes can unpickle the call."""
-    return func(*args)
-
-
-class ProcScheduler:
-    """One-shot process-parallel scheduler for *generic* task graphs.
-
-    The :class:`ProcPool` above is specialized for the eigensolver (it
-    ships shared-memory workspaces and replica-graph deltas); this class
-    is the process substrate of the generic
-    :class:`~repro.runtime.quark.Quark` facade: ``run(graph)`` executes
-    any picklable task flow on a spawn-context
-    :class:`concurrent.futures.ProcessPoolExecutor`, with the engine's
-    readiness rule (:class:`~repro.runtime.engine.ReadyQueue` priority
-    order via :meth:`EngineRun.release`), dispatch-time fault injection,
-    first-failure cancellation and flight recording — the same contract
-    as every other substrate.
-
-    Limitations inherent to process isolation: ``task.func``/``args``
-    must be picklable (module-level functions, not closures), and side
-    effects on parent objects do not propagate — a task's return value
-    comes back as ``task.result``, everything else stays in the child.
-    Worker attribution in the trace is by dispatch lane, not OS process.
-    """
-
-    def __init__(self, n_workers: Optional[int] = None, recorder=None,
-                 injector=None, flight=None):
-        if n_workers is None:
-            n_workers = default_thread_workers()
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-        self.recorder = recorder
-        self.injector = injector
-        #: Optional :class:`~repro.obs.live.FlightRecorder` (one bounded
-        #: ring append per executed task / failure).
-        self.flight = flight
-        self.trace: Optional[Trace] = None
-
-    def run(self, graph) -> Trace:
-        graph.validate_acyclic()
-        core = ExecutionCore(self.recorder, self.injector, self.flight)
-        trace = Trace(n_workers=self.n_workers)
-        run = EngineRun(graph, 0)
-        total = run.n_tasks
-        ready = ReadyQueue()
-        for t in graph.tasks:
-            if t.n_deps == 0:
-                ready.push(t)
-        # Children must not oversubscribe BLAS (same policy as ProcPool).
-        added = [v for v in _BLAS_VARS if v not in os.environ]
-        for v in added:
-            os.environ[v] = "1"
-        first: Optional[tuple[BaseException, BaseException]] = None
-        n_done = 0
-        try:
-            with cf.ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=mp.get_context("spawn")) as ex:
-                inflight: dict = {}       # future -> (task, lane, t_start)
-                lanes = list(range(self.n_workers - 1, -1, -1))
-                t0 = time.perf_counter()
-                while n_done < total or inflight:
-                    while first is None and lanes and len(ready):
-                        task, _ = ready.pop()
-                        lane = lanes.pop()
-                        a = time.perf_counter() - t0
-                        try:
-                            core.guard(task)
-                        except Exception as exc:
-                            lanes.append(lane)
-                            core.emit_failure(1, total - n_done - 1)
-                            first = (core.task_failed(
-                                task, exc, worker=lane, t0=t0 + a,
-                                t1=time.perf_counter()), exc)
-                            break
-                        fut = ex.submit(_invoke, task.func, task.args)
-                        inflight[fut] = (task, lane, a)
-                    if not inflight:
-                        break
-                    done, _ = cf.wait(inflight,
-                                      return_when=cf.FIRST_COMPLETED)
-                    for fut in done:
-                        task, lane, a = inflight.pop(fut)
-                        lanes.append(lane)
-                        b = time.perf_counter() - t0
-                        try:
-                            task.result = fut.result()
-                        except Exception as exc:
-                            if first is None:
-                                core.emit_failure(1, total - n_done - 1)
-                                first = (core.task_failed(
-                                    task, exc, worker=lane, t0=t0 + a,
-                                    t1=t0 + b), exc)
-                            continue
-                        if first is not None:
-                            continue      # cancelled run: drain as no-ops
-                        task.mark_done()
-                        trace.record(TraceEvent(task.uid, task.name, lane,
-                                                a, b, task.tag,
-                                                task.priority))
-                        core.task_done(task, lane, t0 + a, t0 + b)
-                        for s in run.release(task):
-                            ready.push(s)
-                        n_done += 1
-        finally:
-            for v in added:
-                os.environ.pop(v, None)
-        if first is not None:
-            failure, exc = first
-            raise failure from exc
-        if n_done < total:                   # pragma: no cover
-            raise SchedulerError(
-                "ProcScheduler: no runnable tasks but the graph is "
-                "incomplete")
-        core.emit_success(total)
-        self.trace = trace
-        return trace

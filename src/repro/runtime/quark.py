@@ -11,14 +11,16 @@ Backends
     Submission-order execution on the calling thread.
 ``"threads"``
     Real out-of-order execution on ``n_workers`` OS threads.
-``"processes"``
-    Real out-of-order execution on ``n_workers`` spawned OS processes
-    (:class:`~repro.runtime.procpool.ProcScheduler`); task functions and
-    arguments must be picklable, results come back via ``task.result``.
 ``"simulated"``
     Deterministic discrete-event execution on a virtual
     :class:`~repro.runtime.simulator.Machine` (default: the paper's
     16-core dual-socket Xeon).
+
+Task payloads are in-process callables (typically closures over the
+caller's arrays), so there is no process backend here: the eigensolver's
+``backend="processes"`` runs on :class:`~repro.runtime.procpool.ProcPool`,
+which rebuilds the D&C graph inside each worker instead of pickling
+payloads.
 
 Every backend is a substrate of the shared engine
 (:mod:`repro.runtime.engine`), so fault injection, flight recording,
@@ -30,13 +32,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
+from ..errors import InputError
 from .dag import TaskGraph
 from .faults import FaultInjector, FaultSpec
 from .scheduler import (SequentialScheduler, ThreadScheduler,
                         default_thread_workers)
 from .simulator import Machine, SimulatedMachine
-from .task import Access, DataHandle, Task, TaskCost
+from .task import Access, DataHandle, Task
 from .trace import Trace
+
+#: Backends the facade can execute a task flow on.
+QUARK_BACKENDS = ("sequential", "threads", "simulated")
 
 
 class Quark:
@@ -47,6 +53,10 @@ class Quark:
                  machine: Optional[Machine] = None,
                  recorder=None, fault_injection: Optional[FaultSpec] = None,
                  flight=None):
+        if backend not in QUARK_BACKENDS:
+            raise InputError(
+                f"unknown Quark backend {backend!r}; expected one of "
+                f"{QUARK_BACKENDS}")
         self.backend = backend
         self.recorder = recorder
         #: Optional :class:`~repro.obs.live.FlightRecorder` handed to
@@ -58,11 +68,10 @@ class Quark:
         self.machine = machine if machine is not None else (
             Machine() if backend == "simulated" else None)
         if n_workers is None:
-            # threads/processes: one worker per core (clamped), like the
-            # paper's 1-16 thread study — not a hardcoded constant.
+            # threads: one worker per core (clamped), like the paper's
+            # 1-16 thread study — not a hardcoded constant.
             n_workers = self.machine.n_cores if self.machine else (
-                default_thread_workers()
-                if backend in ("threads", "processes") else 1)
+                default_thread_workers() if backend == "threads" else 1)
         self.n_workers = n_workers
         self.graph = TaskGraph()
         self.traces: list[Trace] = []
@@ -86,17 +95,10 @@ class Quark:
             return ThreadScheduler(self.n_workers, recorder=self.recorder,
                                    injector=self.injector,
                                    flight=self.flight)
-        if self.backend == "processes":
-            from .procpool import ProcScheduler
-            return ProcScheduler(self.n_workers, recorder=self.recorder,
-                                 injector=self.injector,
-                                 flight=self.flight)
-        if self.backend == "simulated":
-            return SimulatedMachine(self.machine, n_workers=self.n_workers,
-                                    recorder=self.recorder,
-                                    injector=self.injector,
-                                    flight=self.flight)
-        raise ValueError(f"unknown backend {self.backend!r}")
+        return SimulatedMachine(self.machine, n_workers=self.n_workers,
+                                recorder=self.recorder,
+                                injector=self.injector,
+                                flight=self.flight)
 
     def barrier(self) -> Trace:
         """Execute every task submitted since the previous barrier."""

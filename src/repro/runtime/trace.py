@@ -28,9 +28,9 @@ class TraceEvent:
     t_start: float
     t_end: float
     tag: Any = None
-    #: Scheduling priority the task ran with (b-level quantum units;
-    #: 0 when priorities are off) — annotated into trace exports so
-    #: Perfetto studies can color by criticality.
+    #: Scheduling priority the task ran with (``Task.priority``; 0 for
+    #: the D&C graph) — annotated into trace exports so Perfetto studies
+    #: can color by it.
     priority: int = 0
 
     @property

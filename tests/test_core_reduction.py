@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import taskflow_tridiagonalize
+from repro.core import eigh, taskflow_tridiagonalize
+from repro.errors import InputError
 from repro.kernels import apply_q, tridiagonalize
 
 
@@ -76,3 +77,24 @@ def test_small_and_invalid():
         taskflow_tridiagonalize(np.ones((2, 3)))
     with pytest.raises(ValueError):
         taskflow_tridiagonalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_reduction_rejects_processes_backend():
+    # Regression: the reduction's tasks are closures over the working
+    # matrix, which a process pool cannot pickle; this used to surface
+    # as a TaskFailure from the first task instead of an input error.
+    A = sym(np.random.default_rng(6), 120)
+    with pytest.raises(InputError, match="processes"):
+        taskflow_tridiagonalize(A, backend="processes", n_workers=2)
+
+
+def test_dense_eigh_processes_bitwise_equals_threads():
+    # Regression: eigh(..., backend="processes") failed pickling its
+    # back-transform closures.  The tridiagonal solve now runs on the
+    # process pool and the back-transform on threads.
+    A = sym(np.random.default_rng(7), 120)
+    lam_t, V_t = eigh(A, backend="threads", n_workers=2)
+    lam_p, V_p = eigh(A, backend="processes", n_workers=2)
+    np.testing.assert_array_equal(lam_t, lam_p)
+    np.testing.assert_array_equal(V_t, V_p)
+    assert np.max(np.abs(A @ V_p - V_p * lam_p)) < 1e-12 * 120

@@ -1,9 +1,11 @@
-"""Engine conformance: one behavioural contract, seven executors.
+"""Engine conformance: one behavioural contract, six executors.
 
-Every execution substrate — sequential, threads, worker pool, processes,
-and the three virtual machines (simulated / cluster / hetero) — runs on
-the shared engine (:mod:`repro.runtime.engine`).  This suite pins the
-contract the engine owns, parameterized over all of them:
+Every generic-graph execution substrate — sequential, threads, worker
+pool, and the three virtual machines (simulated / cluster / hetero) —
+runs on the shared engine (:mod:`repro.runtime.engine`).  This suite
+pins the contract the engine owns, parameterized over all of them (the
+eigensolver's process pool, which runs only D&C graphs, is pinned by
+``tests/test_procpool.py``):
 
 * priority order on a crafted DAG (single-worker configs so the ready
   order is observable in the trace);
@@ -19,9 +21,6 @@ contract the engine owns, parameterized over all of them:
 * the privacy boundary: no runtime module imports another runtime
   module's underscore-private names (engine.py is the only shared
   internals surface).
-
-Payloads are module-level functions so the ``processes`` backend can
-pickle them into spawn children.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.errors import TaskFailure
 from repro.obs.live import FlightRecorder
 from repro.runtime import (
     INOUT, INPUT, ClusterMachine, DataHandle, FaultInjector, FaultSpec,
-    HeteroMachine, Machine, ProcScheduler, SequentialScheduler,
+    HeteroMachine, Machine, SequentialScheduler,
     SimulatedMachine, TaskGraph, ThreadScheduler, WorkerPool,
 )
 
@@ -43,7 +42,7 @@ RUNTIME_DIR = (Path(__file__).resolve().parents[1]
                / "src" / "repro" / "runtime")
 
 
-# -- picklable payloads (module-level: the processes backend spawns) ------
+# -- payloads ---------------------------------------------------------------
 
 _RAN: list[str] = []
 
@@ -53,7 +52,6 @@ def _noop():
 
 
 def _record(label):
-    # Visible to in-process backends only; spawn children mutate a copy.
     _RAN.append(label)
     return label
 
@@ -85,10 +83,6 @@ def _run_pool(graph, injector=None, flight=None):
     return run.result()
 
 
-def _run_processes(graph, injector=None, flight=None):
-    return ProcScheduler(1, injector=injector, flight=flight).run(graph)
-
-
 def _run_simulated(graph, injector=None, flight=None):
     return SimulatedMachine(_one_core(), injector=injector,
                             flight=flight).run(graph)
@@ -108,7 +102,6 @@ EXECUTORS = {
     "sequential": _run_sequential,
     "threads": _run_threads,
     "pool": _run_pool,
-    "processes": _run_processes,
     "simulated": _run_simulated,
     "cluster": _run_cluster,
     "hetero": _run_hetero,
@@ -175,9 +168,8 @@ def test_first_failure_cancellation(name):
         EXECUTORS[name](g, injector=inj)
     assert ei.value.seq == target
     assert inj.injected == 1
-    if name != "processes":      # spawn children mutate their own _RAN
-        # Everything before the fault ran, nothing after it did.
-        assert _RAN == ["link0", "link1", "link2"]
+    # Everything before the fault ran, nothing after it did.
+    assert _RAN == ["link0", "link1", "link2"]
 
 
 # -- nth-match fault determinism -------------------------------------------

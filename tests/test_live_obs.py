@@ -266,7 +266,8 @@ def test_session_flight_opt_out():
 def _read_bundle(path):
     lines = [json.loads(ln) for ln in path.read_text().splitlines()]
     head, events = lines[0], lines[1:]
-    assert head["type"] == "postmortem" and head["version"] == 1
+    assert head["type"] == "postmortem" and head["version"] == 2
+    assert "calibration" not in head
     assert all(ev["type"] == "event" for ev in events)
     assert head["n_events"] == len(events)
     return head, events
@@ -299,7 +300,6 @@ def test_postmortem_bundle_on_task_failure(tmp_path):
     # The solve's options and fault spec are replayable from the header.
     assert head["options"]["postmortem_dir"] == str(tmp_path)
     assert head["options"]["fault_injection"]["task_seq"] == n_tasks - 1
-    assert head["calibration"]["key"]
     assert head["session"]["metrics"]["solves"] == 2
     assert head["flight"]["capacity"] >= len(events)
     # The ring replays the run-up to the failure, including the failing

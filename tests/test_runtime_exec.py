@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.errors import InputError
 from repro.runtime import (INPUT, OUTPUT, INOUT, GATHERV,
                            DataHandle, Machine, Quark, SequentialScheduler,
                            SimulatedMachine, TaskGraph, TaskCost,
@@ -226,3 +227,11 @@ def test_quark_simulated_defaults_to_paper_machine():
     q.insert_task(lambda: None, [(h, OUTPUT)], cost=TaskCost(flops=1.0))
     tr = q.barrier()
     assert tr.n_workers == 16
+
+
+@pytest.mark.parametrize("backend", ["bogus", "processes"])
+def test_quark_rejects_unknown_backend_at_construction(backend):
+    # Regression: an unknown backend was accepted here and only failed
+    # at barrier(), with a plain ValueError, after tasks were inserted.
+    with pytest.raises(InputError, match="backend"):
+        Quark(backend)

@@ -1,20 +1,16 @@
-"""Critical-path scheduling layer: calibration, b-levels, adaptive nb.
+"""Panel-width policy and the priority-free D&C graph.
 
-Four promises are pinned here:
+Three promises are pinned here:
 
-1. Scheduling is invisible to the numerics — priorities never change a
-   single bit, and any fixed panel-width plan gives bitwise identical
-   results on every backend (the bitwise-equivalence matrix).
-2. b-level priorities are monotone: a task's priority is never smaller
-   than any successor's, so every leaf ``STEDC`` outranks the root
-   ``ReduceW`` it (transitively) feeds.  (The issue text asks for "root
-   ReduceW >= any leaf STEDC", which is inverted: b-level is the
-   *remaining* critical path, which shrinks toward the sink.)
-3. The calibration module is deterministic by default, overridable, and
-   participates in the DAG template-cache key.
-4. On the overhead-calibrated simulated machine the full scheduling
-   stack (priorities + adaptive widths) strictly improves the makespan
-   of a low-deflation Fig-6 shape.
+1. Scheduling is invisible to the numerics — runtime priorities never
+   change a single bit, and any fixed panel-width plan gives bitwise
+   identical results on every backend (the bitwise-equivalence matrix).
+2. The D&C graph carries no priorities: every task is submitted at
+   priority 0, so ready tasks run in submission order (QUARK's
+   sequential task flow), from a fresh build or from the template cache.
+3. On the simulated machine with the runtime's per-task dispatch cost,
+   level-adaptive panel widths strictly improve the makespan of a
+   low-deflation Fig-6 shape.
 """
 
 import numpy as np
@@ -22,94 +18,17 @@ import pytest
 
 from repro import dc_eigh
 from repro.core import DCContext, DCOptions, submit_dc
-from repro.core.calibrate import (DEFAULT_CALIBRATION, Calibration,
-                                  from_machine, get_calibration,
-                                  set_calibration)
 from repro.core.graph_cache import graph_template_cache, template_key
-from repro.core.options import _ADAPTIVE_MIN_NB
+from repro.core.options import _ADAPTIVE_MIN_NB, TASK_OVERHEAD_S
 from repro.matrices import test_matrix as table3_matrix
 from repro.runtime import (Machine, SequentialScheduler, SimulatedMachine,
-                           TaskGraph)
-
-
-@pytest.fixture(autouse=True)
-def _reset_calibration():
-    yield
-    set_calibration(None)
+                           TaskGraph, ThreadScheduler)
 
 
 def _graph_for(d, e, opts):
     graph = TaskGraph()
     submit_dc(graph, DCContext(d, e, opts))
     return graph
-
-
-# ---------------------------------------------------------------------------
-# calibration
-
-
-def test_default_calibration_is_deterministic():
-    assert DEFAULT_CALIBRATION.source == "default"
-    assert DEFAULT_CALIBRATION.task_overhead_s > 0
-    assert DEFAULT_CALIBRATION.secular_sweeps > 0
-    assert get_calibration() is DEFAULT_CALIBRATION
-
-
-def test_set_calibration_override_roundtrip():
-    cal = Calibration(flop_rate=1e9, source="test")
-    set_calibration(cal)
-    assert get_calibration() is cal
-    set_calibration(None)
-    assert get_calibration() is DEFAULT_CALIBRATION
-
-
-def test_calibration_validates():
-    with pytest.raises(ValueError):
-        Calibration(flop_rate=0.0)
-    with pytest.raises(ValueError):
-        Calibration(secular_sweeps=-1.0)
-
-
-def test_calibration_seconds_uses_gemm_rate_for_updatevect():
-    from repro.runtime.task import TaskCost
-    cal = Calibration()
-    cost = TaskCost(flops=1e9)
-    assert cal.seconds(cost, "UpdateVect") < cal.seconds(cost, "LAED4")
-    # Memory traffic and overheads are additive.
-    slow = TaskCost(flops=1e9, bytes_moved=1e9, serial_overhead=1.0)
-    assert cal.seconds(slow, "LAED4") > cal.seconds(cost, "LAED4") + 1.0
-
-
-def test_from_machine_matches_simulator_rates():
-    m = Machine()
-    cal = from_machine(m)
-    assert cal.source == "machine"
-    assert cal.gemm_flop_rate == pytest.approx(m.core_gflops * 1e9)
-    assert cal.flop_rate == pytest.approx(
-        m.core_gflops * 1e9 * m.kernel_efficiency)
-    assert cal.task_overhead_s == pytest.approx(m.task_overhead)
-
-
-def test_host_calibration_probes_run():
-    # Regression: the axpy probe used ``out += y`` on the closed-over
-    # buffer, which rebinds ``out`` as a local and crashed the whole
-    # host probe with UnboundLocalError before any timing ran.
-    from repro.core.calibrate import host_calibration
-    cal = host_calibration()
-    assert cal.source == "host"
-    for v in (cal.flop_rate, cal.gemm_flop_rate, cal.mem_bw,
-              cal.task_overhead_s, cal.secular_sweeps):
-        assert v > 0 and v == v  # positive, not NaN
-    assert cal.givens_crossover >= 1
-    assert host_calibration() is cal  # memoized once per process
-
-
-def test_calibration_key_is_hashable_and_distinct():
-    a = Calibration()
-    b = Calibration(flop_rate=2 * a.flop_rate)
-    assert hash(a.key) is not None
-    assert a.key != b.key
-    assert a.key == Calibration().key
 
 
 # ---------------------------------------------------------------------------
@@ -156,87 +75,52 @@ def test_node_nb_respects_cost_floor():
 def test_target_parallelism_validation():
     with pytest.raises(ValueError):
         DCOptions(target_parallelism=0)
-    with pytest.raises(ValueError):
-        DCOptions(priority_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
-# b-level priorities
+# priorities
 
 
-def test_blevel_monotone_along_every_edge():
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_dc_graph_carries_no_priorities(adaptive):
     d, e = table3_matrix(4, 300, seed=3)
-    graph = _graph_for(d, e, DCOptions())
-    assert any(t.priority > 0 for t in graph.tasks)
-    for t in graph.tasks:
-        for s in t.successors:
-            assert t.priority >= s.priority, (
-                f"{t.name} (prio {t.priority}) feeds {s.name} "
-                f"(prio {s.priority}): b-level must not increase "
-                "along an edge")
-
-
-def test_blevel_leaf_stedc_outranks_root_reduce():
-    d, e = table3_matrix(4, 300, seed=3)
-    graph = _graph_for(d, e, DCOptions())
-    stedc = [t.priority for t in graph.tasks if t.name == "STEDC"]
-    reduce_w = [t.priority for t in graph.tasks if t.name == "ReduceW"]
-    assert stedc and reduce_w
-    # Leaves carry the whole remaining critical path; the root-merge
-    # ReduceW only what is left after it.  (See module docstring for
-    # why the issue's phrasing is inverted.)
-    assert min(stedc) >= min(reduce_w)
-    assert max(stedc) >= max(reduce_w)
-    # The highest b-level of all belongs to an entry task (a source
-    # carries the entire remaining critical path).
-    top = max(t.priority for t in graph.tasks)
-    assert any(t.priority == top for t in graph.tasks if not t.n_deps)
-
-
-def test_priority_mode_none_leaves_priorities_flat():
-    d, e = table3_matrix(4, 300, seed=3)
-    graph = _graph_for(d, e, DCOptions(priority_mode="none"))
+    graph = _graph_for(d, e, DCOptions(adaptive_nb=adaptive))
     assert all(t.priority == 0 for t in graph.tasks)
 
 
-def test_blevels_method_matches_longest_path():
-    graph = TaskGraph()
-    from repro.runtime.task import Task
-    a = Task(lambda: None, (), name="a")
-    b = Task(lambda: None, (), name="b")
-    c = Task(lambda: None, (), name="c")
-    for t in (a, b, c):
-        graph.submit(t)
-    a.add_successor(c)
-    b.add_successor(c)
-    est = {id(a): 5.0, id(b): 1.0, id(c): 2.0}
-    bl = graph.blevels(lambda t: est[id(t)])
-    assert bl == [7.0, 3.0, 2.0]
+@pytest.mark.parametrize("mtype", [2, 4])
+def test_priorities_never_change_bits(mtype):
+    # Task.priority stays the runtime's QUARK API: whatever priorities a
+    # caller puts on the D&C graph, they only reorder independent work.
+    d, e = table3_matrix(mtype, 150, seed=21)
+    opts = DCOptions()
+    lam0, V0 = dc_eigh(d, e, options=opts)
+    rng = np.random.default_rng(mtype)
+    for prio in (lambda t: -t.seq,
+                 lambda t: int(rng.integers(0, 1000))):
+        ctx = DCContext(d, e, opts)
+        graph = TaskGraph()
+        submit_dc(graph, ctx)
+        for t in graph.tasks:
+            t.priority = prio(t)
+        ThreadScheduler(n_workers=4).run(graph)
+        lam, V = ctx.result()
+        np.testing.assert_array_equal(lam0, lam)
+        np.testing.assert_array_equal(V0, V)
 
 
 # ---------------------------------------------------------------------------
 # bitwise-equivalence matrix
 
 
-@pytest.mark.parametrize("mtype", [2, 4])
-def test_priorities_never_change_bits(mtype):
-    d, e = table3_matrix(mtype, 150, seed=21)
-    lam0, V0 = dc_eigh(d, e, options=DCOptions(priority_mode="none"))
-    lam1, V1 = dc_eigh(d, e, options=DCOptions(priority_mode="blevel"))
-    np.testing.assert_array_equal(lam0, lam1)
-    np.testing.assert_array_equal(V0, V1)
-
-
-@pytest.mark.parametrize("priority_mode", ["none", "blevel"])
 @pytest.mark.parametrize("adaptive", [False, True])
-def test_backends_bitwise_identical_per_plan(priority_mode, adaptive):
-    # Each (priority, nb-plan) cell is one fixed DAG shape; within a
-    # cell every backend must produce identical bits.  (Different nb
-    # plans may differ in the last ulp — panel boundaries change the
-    # ReduceW product association — which is why adaptive_nb is opt-in.)
+def test_backends_bitwise_identical_per_plan(adaptive):
+    # Each nb plan is one fixed DAG shape; within a plan every backend
+    # must produce identical bits.  (Different nb plans may differ in
+    # the last ulp — panel boundaries change the ReduceW product
+    # association — which is why adaptive_nb is opt-in.)
     d, e = table3_matrix(3, 160, seed=22)
-    opts = DCOptions(priority_mode=priority_mode, adaptive_nb=adaptive,
-                     target_parallelism=8)
+    opts = DCOptions(adaptive_nb=adaptive, target_parallelism=8)
     lam0, V0 = dc_eigh(d, e, options=opts)
     for backend, workers in (("threads", 4), ("threads", 8),
                              ("simulated", 4)):
@@ -246,23 +130,9 @@ def test_backends_bitwise_identical_per_plan(priority_mode, adaptive):
         np.testing.assert_array_equal(V0, V)
 
 
-def test_session_fused_batches_bitwise_with_priorities():
-    from repro import SolverSession
-    d, e = table3_matrix(2, 140, seed=23)
-    opts = DCOptions(priority_mode="blevel")
-    lam0, V0 = dc_eigh(d, e, options=opts)
-    with SolverSession(backend="threads", n_workers=4,
-                       options=opts) as session:
-        handles = [session.submit(d, e) for _ in range(3)]
-        for h in handles:
-            lam, V = h.result()
-            np.testing.assert_array_equal(lam0, lam)
-            np.testing.assert_array_equal(V0, V)
-
-
 def test_graph_cache_reuse_preserves_priorities_and_bits():
     d, e = table3_matrix(4, 170, seed=24)
-    opts = DCOptions(priority_mode="blevel", reuse_graph=True)
+    opts = DCOptions(reuse_graph=True)
     graph_template_cache.clear()
     lam0, V0 = dc_eigh(d, e, options=opts)          # miss: builds template
     lam1, V1 = dc_eigh(d, e, options=opts)          # hit: instantiates
@@ -270,10 +140,9 @@ def test_graph_cache_reuse_preserves_priorities_and_bits():
     np.testing.assert_array_equal(lam0, lam1)
     np.testing.assert_array_equal(V0, V1)
 
-    # The instantiated graph re-creates the b-levels of a fresh build.
-    fresh = _graph_for(d, e, DCOptions(priority_mode="blevel"))
-    ctx = DCContext(d, e, DCOptions(priority_mode="blevel",
-                                    reuse_graph=True))
+    # The instantiated graph has the priorities of a fresh build.
+    fresh = _graph_for(d, e, DCOptions())
+    ctx = DCContext(d, e, opts)
     cached, _ = graph_template_cache.get_or_build(
         ctx, template_key(ctx.n, ctx.opts))
     assert [t.priority for t in cached.tasks] \
@@ -282,18 +151,14 @@ def test_graph_cache_reuse_preserves_priorities_and_bits():
 
 def test_template_key_separates_scheduling_plans():
     n = 512
-    keys = {template_key(n, DCOptions(priority_mode="none")),
-            template_key(n, DCOptions(priority_mode="blevel")),
-            template_key(n, DCOptions(priority_mode="blevel",
-                                      adaptive_nb=True)),
-            template_key(n, DCOptions(priority_mode="blevel",
-                                      adaptive_nb=True,
+    keys = {template_key(n, DCOptions()),
+            template_key(n, DCOptions(adaptive_nb=True)),
+            template_key(n, DCOptions(adaptive_nb=True,
                                       target_parallelism=4))}
-    assert len(keys) == 4
-    # The calibration is part of the plan: changing it must miss.
-    base = template_key(n, DCOptions())
-    set_calibration(Calibration(flop_rate=1e9, source="test"))
-    assert template_key(n, DCOptions()) != base
+    assert len(keys) == 3
+    # target_parallelism only shapes the adaptive plan.
+    assert template_key(n, DCOptions(target_parallelism=4)) \
+        == template_key(n, DCOptions())
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +170,6 @@ def test_schedule_counters_recorded():
     col = Collector()
     d, e = table3_matrix(4, 500, seed=25)
     dc_eigh(d, e, options=DCOptions(telemetry=col))
-    assert col.counter("schedule.blevel_tasks") > 0
-    assert col.counter("schedule.blevel_s") > 0
-    assert col.gauges.get("schedule.priority_span", 0) > 0
     assert col.hist_stats("schedule.level_nb")["count"] > 0
 
 
@@ -316,8 +178,7 @@ def test_trace_events_carry_priorities():
     d, e = table3_matrix(4, 500, seed=25)
     res = dc_eigh(d, e, backend="simulated", n_workers=4,
                   full_result=True)
-    prios = [ev.priority for ev in res.trace.events]
-    assert any(p > 0 for p in prios)
+    assert all(ev.priority == 0 for ev in res.trace.events)
     doc = chrome_trace(res.trace, None)
     rows = [ev for ev in doc["traceEvents"]
             if ev.get("ph") == "X" and ev.get("cat") == "task"]
@@ -331,7 +192,7 @@ def test_trace_events_carry_priorities():
 
 def test_scheduling_stack_improves_simulated_makespan():
     d, e = table3_matrix(4, 1200, seed=0)
-    machine = Machine(task_overhead=DEFAULT_CALIBRATION.task_overhead_s)
+    machine = Machine(task_overhead=TASK_OVERHEAD_S)
 
     def makespan(opts):
         graph = _graph_for(d, e, opts)
@@ -339,8 +200,8 @@ def test_scheduling_stack_improves_simulated_makespan():
         sim = SimulatedMachine(machine, n_workers=16, execute=False)
         return sim.run(graph).makespan
 
-    base = makespan(DCOptions(priority_mode="none"))
-    full = makespan(DCOptions(priority_mode="blevel", adaptive_nb=True,
-                              target_parallelism=16))
-    assert full < base * 0.95, (
-        f"expected >= 5% improvement, got {100 * (1 - full / base):.2f}%")
+    base = makespan(DCOptions())
+    adaptive = makespan(DCOptions(adaptive_nb=True, target_parallelism=16))
+    assert adaptive < base * 0.95, (
+        f"expected >= 5% improvement, "
+        f"got {100 * (1 - adaptive / base):.2f}%")
