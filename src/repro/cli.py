@@ -8,13 +8,12 @@ Subcommands
              real threads with ``--backend threads``), print the ASCII
              execution trace (Figs. 3-4 style) plus the telemetry
              summary, and optionally dump the JSONL event log, the
-             Perfetto/Chrome trace and a Prometheus snapshot
-             (``--out DIR``); see docs/OBSERVABILITY.md.
+             Perfetto/Chrome trace, collapsed stacks and a Prometheus
+             snapshot (``--out DIR``); see docs/OBSERVABILITY.md.
 ``serve``  — run a persistent :class:`SolverSession` as a service with
              live observability endpoints (``/metrics``, ``/healthz``,
              ``/debug/state``, debug ``/solve``) on a stdlib HTTP
-             server; optional sampling profiler and post-mortem bundle
-             directory.
+             server; optional post-mortem bundle directory.
 ``info``   — list the Table III matrix types.
 """
 
@@ -101,8 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(trace the reduced strip DAG)")
     t.add_argument("--width", type=int, default=100, help="chart width")
     t.add_argument("--out", default=None, metavar="DIR",
-                   help="dump trace.jsonl, trace_chrome.json, gantt.txt, "
-                        "summary.txt and telemetry.prom into DIR")
+                   help="dump trace.jsonl, trace_chrome.json, "
+                        "trace.folded, gantt.txt, summary.txt and "
+                        "telemetry.prom into DIR")
     t.add_argument("--seed", type=int, default=0)
 
     q = sub.add_parser("serve",
@@ -121,10 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--postmortem-dir", default=None, metavar="DIR",
                    help="dump JSONL post-mortem bundles of failed solves "
                         "into DIR (also via REPRO_POSTMORTEM_DIR)")
-    q.add_argument("--profile-interval", type=float, default=None,
-                   metavar="SEC",
-                   help="enable the task-attributed sampling profiler at "
-                        "this period, e.g. 0.004")
     q.add_argument("--warm", type=int, default=0, metavar="N",
                    help="run one warm-up solve of size N before serving")
 
@@ -235,8 +231,8 @@ def _cmd_trace(args) -> int:
     from . import dc_eigh
     from .core.options import FIG3_CONFIGS
     from .matrices import test_matrix
-    from .obs import (Collector, chrome_trace, prometheus_text,
-                      telemetry_summary, write_jsonl)
+    from .obs import (Collector, chrome_trace, collapsed_stacks,
+                      prometheus_text, telemetry_summary, write_jsonl)
 
     n = args.size if args.size is not None else args.n
     d, e = test_matrix(args.type, n, seed=args.seed)
@@ -260,6 +256,8 @@ def _cmd_trace(args) -> int:
             n_lines = write_jsonl(fh, collector, res.trace)
         with open(os.path.join(args.out, "trace_chrome.json"), "w") as fh:
             json.dump(chrome_trace(res.trace, collector), fh)
+        with open(os.path.join(args.out, "trace.folded"), "w") as fh:
+            fh.write(collapsed_stacks(res.trace))
         with open(os.path.join(args.out, "gantt.txt"), "w") as fh:
             fh.write(gantt + "\n")
         with open(os.path.join(args.out, "summary.txt"), "w") as fh:
@@ -267,7 +265,8 @@ def _cmd_trace(args) -> int:
         with open(os.path.join(args.out, "telemetry.prom"), "w") as fh:
             fh.write(prometheus_text(collector, res.trace))
         print(f"\n[wrote trace.jsonl ({n_lines} lines), trace_chrome.json, "
-              f"gantt.txt, summary.txt, telemetry.prom to {args.out}]")
+              f"trace.folded, gantt.txt, summary.txt, telemetry.prom to "
+              f"{args.out}]")
     return 0
 
 
@@ -278,8 +277,7 @@ def _cmd_serve(args) -> int:
     opts = DCOptions(postmortem_dir=args.postmortem_dir)
     session = SolverSession(backend=args.backend, n_workers=args.workers,
                             options=opts, serve_port=args.port,
-                            serve_host=args.host,
-                            profile_interval_s=args.profile_interval)
+                            serve_host=args.host)
     try:
         print(f"serving {args.backend} session "
               f"({session.n_workers} workers) on {session.server.address}"

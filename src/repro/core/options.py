@@ -117,9 +117,9 @@ class DCOptions:
         Directory for automatic crash bundles.  When set (or when the
         ``REPRO_POSTMORTEM_DIR`` environment variable is), a session
         solve that fails (``TaskFailure``/``ConvergenceError``/...) or
-        degrades to the STEQR fallback dumps a JSONL post-mortem — the
-        flight recorder's recent events, this options record, the fault
-        spec, and pool/workspace stats — via
+        degrades to the STEQR fallback dumps a JSONL post-mortem — that
+        solve's own trace (the tasks that completed), this options
+        record, the fault spec, and pool/workspace stats — via
         :func:`repro.obs.live.write_postmortem`.  ``None`` (default)
         writes nothing; numerics are unaffected either way.
     """

@@ -37,8 +37,8 @@ import numpy as np
 
 from ..errors import (InputError, ReproError, SchedulerError,
                       validate_subset, validate_tridiagonal)
-from ..obs.live import (FlightRecorder, SessionMetrics,
-                        resolve_postmortem_dir, write_postmortem)
+from ..obs.live import (SessionMetrics, resolve_postmortem_dir,
+                        write_postmortem)
 from ..obs.recorder import NULL_RECORDER
 from ..runtime.dag import TaskGraph
 from ..runtime.faults import FaultInjector
@@ -402,22 +402,15 @@ class SolverSession:
         ``submit`` calls block until a slot frees.  Caps the live
         workspace footprint at ``max_inflight × 3n²`` doubles.
         Default: ``max(2, min(8, n_workers))``.
-    flight:
-        The always-on :class:`~repro.obs.live.FlightRecorder`: a bounded
-        ring of recent task events dumped as a post-mortem bundle when a
-        solve fails (see ``DCOptions.postmortem_dir``).  ``True``
-        (default) builds one; pass a recorder to share it across
-        sessions, or ``False`` to strip even the ring append from the
-        task path.
     serve_port / serve_host:
         When ``serve_port`` is not None, start a background
         :class:`~repro.obs.live.MetricsServer` exposing ``/metrics``,
         ``/healthz`` and ``/debug/state`` (``0`` binds an ephemeral
         port; read it from ``session.server.port``).
-    profile_interval_s:
-        When set, attach a task-attributed
-        :class:`~repro.obs.profile.SamplingProfiler` to the worker pool
-        at this sampling period (threads backend only; opt-in).
+
+    Every solve's trace — the partial trace of a failed one — feeds
+    :attr:`metrics` once, at completion, and is the event log a
+    post-mortem bundle replays (see ``DCOptions.postmortem_dir``).
 
     Use as a context manager, or call :meth:`close` explicitly.
     """
@@ -428,10 +421,8 @@ class SolverSession:
                  options: Optional[DCOptions] = None,
                  workspace_pool: bool = True,
                  max_inflight: Optional[int] = None,
-                 flight=True,
                  serve_port: Optional[int] = None,
                  serve_host: str = "127.0.0.1",
-                 profile_interval_s: Optional[float] = None,
                  _one_shot: bool = False):
         if backend not in BACKENDS:
             raise InputError(f"unknown backend {backend!r}")
@@ -481,11 +472,6 @@ class SolverSession:
             if self._persistent else None
         #: Always-on service observability (zero solver-numerics impact).
         self.metrics = SessionMetrics()
-        self.flight: Optional[FlightRecorder] = (
-            FlightRecorder() if flight is True
-            else (flight if flight else None))
-        self._profile_interval = profile_interval_s
-        self.profiler = None
         self.server = None
         if serve_port is not None:
             from ..obs.live import MetricsServer
@@ -564,8 +550,6 @@ class SolverSession:
                            "workers_parked": self._pool.parked,
                            "inflight_runs": len(self._pool._active)}
         out["metrics"] = self.metrics.to_dict()
-        if self.flight is not None:
-            out["flight"] = self.flight.occupancy()
         return out
 
     def close(self, wait: bool = True) -> None:
@@ -597,8 +581,6 @@ class SolverSession:
                     run = h._run
                 if run is not None:
                     run.wait()
-        if self.profiler is not None:
-            self.profiler.stop()
         if self._pool is not None:
             self._pool.shutdown()
         ws = self._workspace
@@ -608,8 +590,6 @@ class SolverSession:
             ws.close()
         if self.server is not None:
             self.server.close()
-        if self.flight is not None:
-            self.flight.record("session.close", self.backend)
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -635,27 +615,22 @@ class SolverSession:
 
     def _finish_solve(self, handle: SolveHandle, ctx: Optional[DCContext],
                       opts: DCOptions, error: Optional[BaseException],
-                      n_tasks: int) -> None:
-        """Post-solve bookkeeping, shared by every execution path: feed
-        the session digests/counters, note the outcome in the flight
-        ring, and dump a post-mortem bundle when the solve failed or
-        degraded to the STEQR fallback (and a bundle directory is
-        configured).  Never raises — runs on pool completion hooks."""
+                      trace) -> None:
+        """Post-solve bookkeeping, shared by every execution path: fold
+        the solve's ``trace`` (partial when it failed: the tasks that
+        completed) and merge stats into the session metrics, and dump a
+        post-mortem bundle when the solve failed or degraded to the
+        STEQR fallback (and a bundle directory is configured).  Never
+        raises — runs on pool completion hooks."""
         try:
             merge_stats = ctx.merge_stats if ctx is not None else []
         except Exception:
             merge_stats = []
-        self.metrics.note_solve(handle.latency_s, merge_stats,
-                                failed=error is not None, n_tasks=n_tasks,
-                                jobz=opts.jobz)
+        self.metrics.note_solve(
+            handle.latency_s, merge_stats, failed=error is not None,
+            n_tasks=len(trace.events) if trace is not None else 0,
+            jobz=opts.jobz, trace=trace)
         fallback = any(s.fallback for s in merge_stats)
-        if self.flight is not None:
-            self.flight.record("solve.fail" if error is not None
-                               else "solve.done", self.backend,
-                               detail=(f"{type(error).__name__}: {error}"
-                                       if error is not None else
-                                       ("steqr-fallback" if fallback
-                                        else "")))
         if error is None and not fallback:
             return
         directory = resolve_postmortem_dir(opts)
@@ -666,7 +641,7 @@ class SolverSession:
                 directory,
                 reason="solve-failure" if error is not None
                        else "steqr-fallback",
-                error=error, options=opts, flight=self.flight,
+                error=error, options=opts, trace=trace,
                 session_stats=self.stats(), metrics=self.metrics)
         except OSError:
             pass        # an unwritable crash dir must not mask the solve
@@ -700,22 +675,20 @@ class SolverSession:
         handle = SolveHandle(full=full_result)
         ctx = None
         info = None
-        n_tasks = 0
+        trace = None
         try:
             with obs.span("solve", n=n, backend=self.backend):
                 ctx = DCContext(d, e, opts, subset=subset,
                                 workspace=self._workspace)
                 quark = Quark(self.backend, n_workers=self.n_workers,
                               machine=self.machine, recorder=opts.telemetry,
-                              fault_injection=opts.fault_injection,
-                              flight=self.flight)
+                              fault_injection=opts.fault_injection)
                 graph, info = self._instantiate(ctx, opts, obs)
                 quark.graph = graph
-                n_tasks = len(graph.tasks)
                 if obs.enabled:
                     obs.add("solve.count")
                     obs.add(f"solve.jobz.{opts.jobz}")
-                    obs.add("solve.tasks_submitted", n_tasks)
+                    obs.add("solve.tasks_submitted", len(graph.tasks))
                 with obs.span("execute"):
                     trace = quark.barrier()
                 with obs.span("finalize"):
@@ -733,8 +706,9 @@ class SolverSession:
                     info.states.values() if info is not None else (),
                     keep_result=False)
             handle._error = exc
+            trace = trace or getattr(exc, "trace", None)
         handle.t_done = time.perf_counter()
-        self._finish_solve(handle, ctx, opts, handle._error, n_tasks)
+        self._finish_solve(handle, ctx, opts, handle._error, trace)
         return handle
 
     def _submit_pool(self, d, e, subset, full_result, opts) -> SolveHandle:
@@ -786,7 +760,7 @@ class SolverSession:
                 self._slots.release()
                 self._finish_solve(h, h._ctx, o,
                                    run.errors[0] if run.failed else None,
-                                   run.n_executed)
+                                   run.trace)
 
             try:
                 with self._lock:
@@ -800,17 +774,10 @@ class SolverSession:
                             from ..runtime.procpool import ProcPool
                             self._pool = ProcPool(self.n_workers,
                                                   workspace=self._workspace,
-                                                  recorder=opts.telemetry,
-                                                  flight=self.flight)
+                                                  recorder=opts.telemetry)
                         else:
                             self._pool = WorkerPool(self.n_workers,
-                                                    recorder=opts.telemetry,
-                                                    flight=self.flight)
-                        if self._profile_interval is not None and not procs:
-                            from ..obs.profile import SamplingProfiler
-                            self.profiler = SamplingProfiler(
-                                self._pool, self._profile_interval,
-                                metrics=self.metrics).start()
+                                                    recorder=opts.telemetry)
                     pool = self._pool
                     self._outstanding.add(handle)
                 if procs:
@@ -823,6 +790,10 @@ class SolverSession:
                                               injector=injector,
                                               on_done=_on_done)
             except BaseException:
+                # Rejected (e.g. close() won the race): nothing ran, so
+                # the buffers the context took go straight back.
+                ctx.release_workspace(info.states.values(),
+                                      keep_result=False)
                 with self._lock:
                     self._outstanding.discard(handle)
                 self._slots.release()

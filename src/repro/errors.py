@@ -54,7 +54,9 @@ class TaskFailure(ReproError, RuntimeError):
     Carries the task's name, submission index (``seq``), trace tag
     (the merge node span for merge kernels) and — on the threads
     backend — the worker that ran it.  The original exception is
-    chained as ``__cause__``.
+    chained as ``__cause__``.  ``trace`` is the failed run's partial
+    :class:`~repro.runtime.trace.Trace` (the tasks that completed),
+    attached by the engine before the failure reaches the caller.
     """
 
     def __init__(self, message: str, *, task_name: str = "",
@@ -65,6 +67,7 @@ class TaskFailure(ReproError, RuntimeError):
         self.seq = seq
         self.tag = tag
         self.worker = worker
+        self.trace = None
 
 
 class InjectedFault(ReproError, RuntimeError):

@@ -20,30 +20,29 @@ trace, or a Prometheus text snapshot (:mod:`repro.obs.export`).  The
 counter naming schema is documented in ``docs/OBSERVABILITY.md``.
 
 On top of the per-solve Collector sits the always-on service layer
-(:mod:`repro.obs.live`): a bounded :class:`FlightRecorder` ring on every
-session with automatic post-mortem bundles, constant-memory quantile
-:class:`Digest` sketches, per-session :class:`SessionMetrics`, the
-:class:`MetricsServer` behind ``SolverSession(serve_port=...)`` /
-``repro-eig serve``, and the opt-in task-attributed
-:class:`~repro.obs.profile.SamplingProfiler`.
+(:mod:`repro.obs.live`), derived from each run's event log (its
+:class:`~repro.runtime.trace.Trace`): post-mortem bundles that replay
+the failing solve's own trace, constant-memory quantile :class:`Digest`
+sketches, per-session :class:`SessionMetrics` with exact per-kernel
+totals, and the :class:`MetricsServer` behind
+``SolverSession(serve_port=...)`` / ``repro-eig serve``.
+:func:`~repro.obs.export.collapsed_stacks` turns any trace into
+flamegraph input.
 """
 
-from .live import (Digest, FlightRecorder, MetricsServer, SessionMetrics,
-                   debug_state, healthz_payload, live_metrics_text,
-                   write_postmortem)
-from .profile import SamplingProfiler
+from .live import (Digest, MetricsServer, SessionMetrics, debug_state,
+                   healthz_payload, live_metrics_text, write_postmortem)
 from .recorder import (Collector, NullRecorder, NULL_RECORDER, Recorder,
                        SpanRecord)
-from .export import (chrome_trace, merge_spans_from_trace, prom_label_value,
-                     prom_name, prometheus_text, telemetry_block,
-                     telemetry_summary, write_jsonl)
+from .export import (chrome_trace, collapsed_stacks, merge_spans_from_trace,
+                     prom_label_value, prom_name, prometheus_text,
+                     telemetry_block, telemetry_summary, write_jsonl)
 
 __all__ = [
     "Collector", "NullRecorder", "NULL_RECORDER", "Recorder", "SpanRecord",
-    "chrome_trace", "merge_spans_from_trace", "prometheus_text",
-    "telemetry_block", "telemetry_summary", "write_jsonl",
+    "chrome_trace", "collapsed_stacks", "merge_spans_from_trace",
+    "prometheus_text", "telemetry_block", "telemetry_summary", "write_jsonl",
     "prom_name", "prom_label_value",
-    "Digest", "FlightRecorder", "SessionMetrics", "MetricsServer",
-    "SamplingProfiler", "write_postmortem", "live_metrics_text",
-    "healthz_payload", "debug_state",
+    "Digest", "SessionMetrics", "MetricsServer", "write_postmortem",
+    "live_metrics_text", "healthz_payload", "debug_state",
 ]

@@ -1,7 +1,8 @@
-"""Telemetry exporters: JSON-lines, Perfetto/Chrome trace, Prometheus.
+"""Telemetry exporters: JSON-lines, Perfetto/Chrome trace, Prometheus,
+collapsed stacks.
 
-Three machine-readable views plus a human summary over one solve's
-telemetry (:class:`~repro.obs.recorder.Collector` + the scheduler's
+Machine-readable views plus a human summary over one solve's telemetry
+(:class:`~repro.obs.recorder.Collector` + the scheduler's
 :class:`~repro.runtime.trace.Trace`):
 
 ``write_jsonl``
@@ -16,6 +17,8 @@ telemetry (:class:`~repro.obs.recorder.Collector` + the scheduler's
     scheduler's internals on top.
 ``prometheus_text``
     A Prometheus text-format snapshot of counters/gauges/histograms.
+``collapsed_stacks``
+    Collapsed-stack flamegraph input weighted by exact task time.
 ``telemetry_summary`` / ``telemetry_block``
     Human-readable report and the compact dict embedded in BENCH JSON
     (steal rate, idle fraction, cache hit rate, ...).
@@ -32,7 +35,7 @@ from .recorder import Collector
 
 __all__ = ["write_jsonl", "chrome_trace", "prometheus_text",
            "telemetry_summary", "telemetry_block", "merge_spans_from_trace",
-           "prom_name", "prom_label_value"]
+           "collapsed_stacks", "prom_name", "prom_label_value"]
 
 #: Merge-kernel names whose events carry a ``(lo, hi)`` merge tag.
 _MERGE_KERNELS = frozenset({
@@ -53,9 +56,8 @@ def merge_spans_from_trace(trace: Trace) -> list[dict]:
     """
     merges: dict[tuple[int, int], list[float]] = {}
     for e in trace.events:
-        tag = e.tag
-        if (e.name in _MERGE_KERNELS and isinstance(tag, tuple)
-                and len(tag) == 2):
+        tag = _merge_tag(e)
+        if tag is not None:
             box = merges.get(tag)
             if box is None:
                 merges[tag] = [e.t_start, e.t_end]
@@ -71,6 +73,39 @@ def merge_spans_from_trace(trace: Trace) -> list[dict]:
         spans.append({"name": f"merge[{lo}:{hi}]", "lo": lo, "hi": hi,
                       "level": level, "t0": t0, "t1": t1})
     return spans
+
+
+def _merge_tag(e) -> Optional[tuple[int, int]]:
+    """The ``(lo, hi)`` merge span of a merge-kernel event, else None."""
+    tag = e.tag
+    if e.name in _MERGE_KERNELS and isinstance(tag, tuple) and len(tag) == 2:
+        return tag
+    return None
+
+
+def collapsed_stacks(trace: Trace) -> str:
+    """Collapsed-stack export of a trace (``frame;frame;frame weight``).
+
+    Each task contributes its exact duration in microseconds.  Merge
+    tasks get the stack ``solve;level{L};merge[lo:hi];kernel``, with
+    ``L`` the merge's containment level from
+    :func:`merge_spans_from_trace` (root merge = level 0); every other
+    task collapses to ``solve;kernel``.  Lines are sorted; the text is
+    input for ``flamegraph.pl``, speedscope or inferno.
+    """
+    level = {(s["lo"], s["hi"]): s["level"]
+             for s in merge_spans_from_trace(trace)}
+    weights: dict[str, float] = {}
+    for e in trace.events:
+        tag = _merge_tag(e)
+        if tag is None:
+            stack = f"solve;{e.name}"
+        else:
+            stack = (f"solve;level{level[tag]};merge[{tag[0]}:{tag[1]}];"
+                     f"{e.name}")
+        weights[stack] = weights.get(stack, 0.0) + e.duration * 1e6
+    return "".join(f"{stack} {round(us)}\n"
+                   for stack, us in sorted(weights.items()))
 
 
 def _span_alignment(collector: Optional[Collector]) -> tuple[float, float]:
@@ -280,20 +315,12 @@ def _fmt_stats(st: Optional[dict]) -> str:
 
 
 def telemetry_summary(collector: Optional[Collector],
-                      trace: Optional[Trace] = None,
-                      profile=None) -> str:
-    """Human-readable report: scheduler, cache and numeric health.
-
-    ``profile`` optionally appends a
-    :class:`~repro.obs.profile.SamplingProfiler` section (top kernels by
-    sample count and the attributed fraction).
-    """
+                      trace: Optional[Trace] = None) -> str:
+    """Human-readable report: scheduler, cache and numeric health."""
     rows: list[str] = []
     if trace is not None:
         rows.append(trace.summary())
     if collector is None:
-        if profile is not None:
-            rows.append(profile.summary())
         return "\n".join(rows)
     c = collector.counters
     attempts = c.get("scheduler.steal.attempts", 0.0)
@@ -342,6 +369,4 @@ def telemetry_summary(collector: Optional[Collector],
         rows.append("solve phases (wall):")
         for name, d in sorted(durs.items(), key=lambda kv: -kv[1]):
             rows.append(f"  {name:<16s} : {d:.6g} s")
-    if profile is not None:
-        rows.append(profile.summary())
     return "\n".join(rows)

@@ -1,20 +1,18 @@
-"""Always-on service observability: flight recorder, streaming digests,
-post-mortem bundles, and the live ``/metrics`` endpoint.
+"""Always-on service observability: streaming digests, post-mortem
+bundles, and the live ``/metrics`` endpoint.
 
 The :mod:`repro.obs.recorder` Collector is an *attach-then-dump* tool: a
 caller opts in per solve and reads the data afterwards.  A long-lived
 :class:`~repro.core.session.SolverSession` needs the complement — state
-that is always on, bounded, and inspectable while the service runs:
+that is always on, bounded, and inspectable while the service runs.  All
+of it is derived, once per solve, from the run's event log: the
+:class:`~repro.runtime.trace.Trace` every substrate already records (a
+failed run's partial trace rides on its error as ``.trace``).
 
-:class:`FlightRecorder`
-    A fixed-size, lock-striped ring buffer of recent runtime events
-    (task completions, failures, span closes, session lifecycle).  The
-    hot-path cost is one striped-lock acquire plus a bounded-deque
-    append per event; memory is capped by construction.  When a solve
-    fails (or degrades to the STEQR fallback), the session dumps the
-    ring — plus the solve's options, fault spec and pool/workspace
-    stats — as a JSONL *post-mortem bundle* via
-    :func:`write_postmortem`.
+:func:`write_postmortem`
+    When a solve fails (or degrades to the STEQR fallback), the session
+    dumps that solve's own trace — plus its options, fault spec and
+    pool/workspace stats — as a JSONL *post-mortem bundle*.
 
 :class:`Digest`
     A constant-memory quantile sketch (merging t-digest, pure stdlib)
@@ -26,8 +24,9 @@ that is always on, bounded, and inspectable while the service runs:
 
 :class:`SessionMetrics`
     The per-session digest set (per-solve latency, deflation ratio,
-    secular iterations per root, queue depth) plus monotonic service
-    counters (solves, failures, fallbacks) and the last-solve clock.
+    secular iterations per root), monotonic service counters (solves,
+    failures, fallbacks), exact per-kernel time and task totals folded
+    from each solve's trace, and the last-solve clock.
 
 :class:`MetricsServer`
     A stdlib ``http.server`` thread serving ``/metrics`` (Prometheus
@@ -36,26 +35,24 @@ that is always on, bounded, and inspectable while the service runs:
     ``SolverSession(serve_port=...)`` or ``repro-eig serve``.
 
 Everything here preserves the bitwise-identity contract: none of it
-touches solver numerics, and everything beyond the flight recorder's
-bounded append is opt-in.
+touches solver numerics, and none of it runs per task.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import json
 import math
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import fields as dataclass_fields
 from typing import Iterable, Optional
 
-__all__ = ["Digest", "FlightRecorder", "FlightEvent", "SessionMetrics",
-           "MetricsServer", "write_postmortem", "live_metrics_text",
-           "healthz_payload", "debug_state"]
+__all__ = ["Digest", "SessionMetrics", "MetricsServer", "write_postmortem",
+           "live_metrics_text", "healthz_payload", "debug_state"]
 
 
 # ---------------------------------------------------------------------------
@@ -213,156 +210,6 @@ class Digest:
 
 
 # ---------------------------------------------------------------------------
-# Flight recorder
-# ---------------------------------------------------------------------------
-
-#: Field order of one flight-recorder entry (kept as a plain tuple on the
-#: hot path; expanded into dicts only at snapshot/dump time).
-FlightEvent = tuple  # (seq, kind, name, worker, task_seq, t0, t1, detail)
-
-
-class FlightRecorder:
-    """Fixed-size, lock-striped ring buffer of recent runtime events.
-
-    Always on: every :class:`~repro.core.session.SolverSession` owns one
-    by default, and the schedulers append one entry per executed task
-    (plus failures and lifecycle events).  The append path is a global
-    sequence-counter bump (GIL-atomic), one striped-lock acquire chosen
-    by ``seq % n_stripes`` (round-robin: concurrent recorders almost
-    always hit different stripes, and the per-stripe rings age out
-    uniformly so retention stays close to the full capacity), and a
-    ``deque(maxlen=...)`` append — bounded memory and O(1) time, cheap
-    enough for the default solve path.
-
-    Timestamps are raw ``perf_counter`` values; :meth:`snapshot`
-    re-bases them onto the recorder's epoch so dumps are human-scaled.
-
-    Because the per-stripe rings evict independently, a raw union of the
-    stripes after wraparound would contain interleaved holes (stripe
-    ``i`` only ever holds sequence numbers ``≡ i (mod n_stripes)``, and
-    each drops its own oldest).  :meth:`snapshot` therefore trims the
-    sorted replay to the contiguous suffix: everything at or above the
-    newest per-stripe eviction horizon.  :meth:`occupancy` reports how
-    much was dropped by eviction and how much the trim removed.
-    """
-
-    def __init__(self, capacity: int = 4096, n_stripes: int = 8):
-        n_stripes = max(1, min(n_stripes, capacity))
-        per = max(1, capacity // n_stripes)
-        self.capacity = per * n_stripes
-        self._per_stripe = per
-        self._stripes = [(threading.Lock(), deque(maxlen=per))
-                         for _ in range(n_stripes)]
-        self._n_stripes = n_stripes
-        self._seq_lock = threading.Lock()
-        self._next_seq = 0
-        self.t0_abs = time.perf_counter()
-        self.t0_wall = time.time()
-
-    def _bump(self) -> int:
-        with self._seq_lock:
-            seq = self._next_seq
-            self._next_seq += 1
-        return seq
-
-    # -- recording (hot path) -------------------------------------------
-    def record(self, kind: str, name: str, worker: int = -1,
-               task_seq: int = -1, t0: float = 0.0, t1: float = 0.0,
-               detail: str = "") -> None:
-        seq = self._bump()
-        lock, ring = self._stripes[seq % self._n_stripes]
-        with lock:
-            ring.append((seq, kind, name, worker, task_seq, t0, t1, detail))
-
-    def record_task(self, task, worker: int, t0: float, t1: float) -> None:
-        """One executed task (absolute perf_counter start/end)."""
-        seq = self._bump()
-        lock, ring = self._stripes[seq % self._n_stripes]
-        with lock:
-            ring.append((seq, "task", task.name, worker, task.seq, t0, t1,
-                         "" if task.tag is None else str(task.tag)))
-
-    # -- reading ---------------------------------------------------------
-    def _horizon(self, raw: list[FlightEvent]) -> int:
-        """First sequence number of the contiguous replay suffix.
-
-        A stripe that has evicted proves every older member of its
-        residue class is gone; the newest such eviction bounds the
-        window in which *other* stripes may still hold stale survivors.
-        Treating a merely-full stripe as evicting is harmless: its
-        horizon lies at or below the true global minimum.
-        """
-        start = 0
-        per, n = self._per_stripe, self._n_stripes
-        oldest: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        for seq, *_ in raw:
-            s = seq % n
-            counts[s] = counts.get(s, 0) + 1
-            if s not in oldest or seq < oldest[s]:
-                oldest[s] = seq
-        for s, cnt in counts.items():
-            if cnt >= per:
-                start = max(start, oldest[s] - n + 1)
-        return start
-
-    def snapshot(self, last: Optional[int] = None) -> list[dict]:
-        """The retained events, oldest first, as JSON-ready dicts.
-
-        Only the contiguous suffix is replayed: events older than the
-        newest per-stripe eviction horizon are trimmed so the replay
-        never mixes pre- and post-wraparound epochs.
-        """
-        raw: list[FlightEvent] = []
-        for lock, ring in self._stripes:
-            with lock:
-                raw.extend(ring)
-        raw.sort()
-        start = self._horizon(raw)
-        if start:
-            raw = [ev for ev in raw if ev[0] >= start]
-        if last is not None:
-            raw = raw[-last:]
-        t0 = self.t0_abs
-        out = []
-        for seq, kind, name, worker, task_seq, a, b, detail in raw:
-            ev = {"seq": seq, "kind": kind, "name": name}
-            if worker >= 0:
-                ev["worker"] = worker
-            if task_seq >= 0:
-                ev["task_seq"] = task_seq
-            if a or b:
-                ev["t0"] = a - t0
-                ev["t1"] = b - t0
-            if detail:
-                ev["detail"] = detail
-            out.append(ev)
-        return out
-
-    def occupancy(self) -> dict:
-        """Ring occupancy: capacity, retained, replayable, drop counts.
-
-        ``recorded`` is the exact event count (explicit locked counter);
-        ``dropped`` is what the rings evicted, ``trimmed`` what the
-        contiguity horizon removes on top, and ``replayable`` what
-        :meth:`snapshot` actually returns.
-        """
-        raw: list[FlightEvent] = []
-        for lock, ring in self._stripes:
-            with lock:
-                raw.extend(ring)
-        size = len(raw)
-        start = self._horizon(raw)
-        replayable = sum(1 for ev in raw if ev[0] >= start) if start \
-            else size
-        with self._seq_lock:
-            total = self._next_seq
-        return {"capacity": self.capacity, "size": size,
-                "recorded": total, "dropped": max(0, total - size),
-                "trimmed": size - replayable, "replayable": replayable}
-
-
-# ---------------------------------------------------------------------------
 # Session metrics (streaming digests + service counters)
 # ---------------------------------------------------------------------------
 
@@ -371,8 +218,8 @@ class SessionMetrics:
     """Per-session streaming metrics: digests + monotonic counters.
 
     Fed by the session off the hot path (once per completed solve, from
-    the already-computed per-merge stats), so it is always on.  Digest
-    semantics:
+    the already-computed per-merge stats and the solve's trace), so it
+    is always on.  Digest semantics:
 
     ``latency_s``
         Submit → completion wall seconds, one sample per solve.
@@ -381,41 +228,48 @@ class SessionMetrics:
     ``secular_iterations``
         Mean LAED4 iterations per secular root, one sample per
         non-fully-deflated merge.
-    ``queue_depth``
-        Ready-queue depth samples (summed over workers), fed by the
-        sampling profiler / metrics server when one is attached.
+
+    ``kernel_seconds`` / ``kernel_tasks`` are exact per-kernel busy
+    seconds and completed-task counts folded from each solve's trace
+    (``Trace.kernel_times`` / ``Trace.kernel_counts``); a failed solve
+    contributes the tasks that completed before it was cancelled.  On
+    the simulated backend the seconds are virtual.
 
     :meth:`merge` aggregates across sessions (digests merge exactly).
     """
 
-    DIGESTS = ("latency_s", "deflation_ratio", "secular_iterations",
-               "queue_depth")
+    DIGESTS = ("latency_s", "deflation_ratio", "secular_iterations")
+    COUNTERS = ("solves", "failures", "fallbacks", "tasks")
+    #: Name-keyed counter tables (solves by compute mode, per kernel).
+    TABLES = ("solves_by_jobz", "kernel_seconds", "kernel_tasks")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.latency_s = Digest()
         self.deflation_ratio = Digest()
         self.secular_iterations = Digest()
-        self.queue_depth = Digest()
         self.solves = 0
         self.failures = 0
         self.fallbacks = 0
         self.tasks = 0
         #: Solve counts split by compute mode ("V" / "N").
         self.solves_by_jobz: dict[str, int] = {}
+        self.kernel_seconds: dict[str, float] = {}
+        self.kernel_tasks: dict[str, int] = {}
         self.last_done_wall: Optional[float] = None
         self._last_done_mono: Optional[float] = None
 
     def note_solve(self, latency_s: Optional[float], merge_stats=(),
                    failed: bool = False, n_tasks: int = 0,
-                   jobz: Optional[str] = None) -> None:
+                   jobz: Optional[str] = None, trace=None) -> None:
         """Record one completed solve (success or failure)."""
+        kernel_s = trace.kernel_times() if trace is not None else {}
+        kernel_n = trace.kernel_counts() if trace is not None else {}
         with self._lock:
             self.solves += 1
             self.tasks += n_tasks
             if jobz is not None:
-                self.solves_by_jobz[jobz] = \
-                    self.solves_by_jobz.get(jobz, 0) + 1
+                _fold(self.solves_by_jobz, {jobz: 1})
             if failed:
                 self.failures += 1
             if latency_s is not None:
@@ -426,12 +280,10 @@ class SessionMetrics:
                     self.secular_iterations.add(s.secular_sweeps / s.k)
                 if s.fallback:
                     self.fallbacks += 1
+            _fold(self.kernel_seconds, kernel_s)
+            _fold(self.kernel_tasks, kernel_n)
             self.last_done_wall = time.time()
             self._last_done_mono = time.perf_counter()
-
-    def note_queue_depth(self, depth: float) -> None:
-        with self._lock:
-            self.queue_depth.add(depth)
 
     def last_solve_age_s(self) -> Optional[float]:
         if self._last_done_mono is None:
@@ -444,6 +296,13 @@ class SessionMetrics:
             return {name: st for name in self.DIGESTS
                     if (st := getattr(self, name).stats()) is not None}
 
+    def kernel_stats(self) -> dict:
+        """Kernel name → ``{"seconds", "tasks"}`` totals over all solves."""
+        with self._lock:
+            return {name: {"seconds": self.kernel_seconds.get(name, 0.0),
+                           "tasks": cnt}
+                    for name, cnt in sorted(self.kernel_tasks.items())}
+
     def to_dict(self) -> dict:
         out = {"solves": self.solves, "failures": self.failures,
                "fallbacks": self.fallbacks, "tasks": self.tasks,
@@ -453,19 +312,29 @@ class SessionMetrics:
         return out
 
     def merge(self, other: "SessionMetrics") -> "SessionMetrics":
-        """Fold another session's metrics into this one."""
-        with self._lock, other._lock:
-            for name in self.DIGESTS:
-                getattr(self, name).merge(getattr(other, name))
-            self.solves += other.solves
-            self.failures += other.failures
-            self.fallbacks += other.fallbacks
-            self.tasks += other.tasks
-            for mode, cnt in other.solves_by_jobz.items():
-                self.solves_by_jobz[mode] = \
-                    self.solves_by_jobz.get(mode, 0) + cnt
-            for attr in ("last_done_wall", "_last_done_mono"):
-                mine, theirs = getattr(self, attr), getattr(other, attr)
+        """Fold another session's metrics into this one.
+
+        ``other`` is copied under its own lock, then folded in under
+        this one's: the two locks are never held together, so
+        ``m.merge(m)`` doubles ``m`` and two sessions merging into each
+        other concurrently cannot deadlock.
+        """
+        with other._lock:
+            digests = [copy.deepcopy(getattr(other, name))
+                       for name in self.DIGESTS]
+            counts = [getattr(other, name) for name in self.COUNTERS]
+            tables = [dict(getattr(other, name)) for name in self.TABLES]
+            last = (other.last_done_wall, other._last_done_mono)
+        with self._lock:
+            for name, digest in zip(self.DIGESTS, digests):
+                getattr(self, name).merge(digest)
+            for name, cnt in zip(self.COUNTERS, counts):
+                setattr(self, name, getattr(self, name) + cnt)
+            for name, table in zip(self.TABLES, tables):
+                _fold(getattr(self, name), table)
+            for attr, theirs in zip(("last_done_wall", "_last_done_mono"),
+                                    last):
+                mine = getattr(self, attr)
                 if theirs is not None and (mine is None or theirs > mine):
                     setattr(self, attr, theirs)
         return self
@@ -476,6 +345,12 @@ class SessionMetrics:
         for m in metrics:
             out.merge(m)
         return out
+
+
+def _fold(into: dict, counts: dict) -> None:
+    """Add a name-keyed counter table into another, in place."""
+    for name, value in counts.items():
+        into[name] = into.get(name, 0) + value
 
 
 # ---------------------------------------------------------------------------
@@ -504,26 +379,53 @@ def _options_dict(options) -> Optional[dict]:
     return out
 
 
+def _event_lines(trace, error: Optional[BaseException]) -> list[dict]:
+    """A solve's event log as bundle lines: one ``task`` line per
+    completed task of ``trace`` in timeline order, then a ``task.fail``
+    line naming the task a :class:`~repro.errors.TaskFailure` blames."""
+    from ..errors import TaskFailure
+
+    out: list[dict] = []
+    if trace is not None:
+        for e in sorted(trace.events,
+                        key=lambda e: (e.t_start, e.t_end, e.seq)):
+            ev = {"kind": "task", "name": e.name, "worker": e.worker,
+                  "task_seq": e.seq, "t0": e.t_start, "t1": e.t_end}
+            if e.tag is not None:
+                ev["detail"] = str(e.tag)
+            out.append(ev)
+    if isinstance(error, TaskFailure):
+        cause = error.__cause__ if error.__cause__ is not None else error
+        ev = {"kind": "task.fail", "name": error.task_name,
+              "task_seq": error.seq,
+              "detail": f"{type(cause).__name__}: {cause}"}
+        if error.worker is not None:
+            ev["worker"] = error.worker
+        out.append(ev)
+    return out
+
+
 def write_postmortem(directory: str, *, reason: str,
                      error: Optional[BaseException] = None,
-                     options=None,
-                     flight: Optional[FlightRecorder] = None,
+                     options=None, trace=None,
                      session_stats: Optional[dict] = None,
                      metrics: Optional[SessionMetrics] = None,
                      max_events: int = 4096) -> str:
     """Dump a post-mortem bundle as JSONL; returns the path written.
 
-    Line 1 is the ``postmortem`` header: the failure reason and typed
-    error (with task name/seq/tag/worker for a
+    Line 1 is the ``postmortem`` header (``version: 3``): the failure
+    reason and typed error (with task name/seq/tag/worker for a
     :class:`~repro.errors.TaskFailure` and the chained cause), the
     solve's options and fault-injector spec, and the session's
     pool/workspace/cache stats and digests.  The remaining lines replay
-    the flight recorder's retained events, oldest first.
+    the failing solve's own event log — its ``trace`` (the partial trace
+    of a failed run) plus the ``task.fail`` line — keeping the last
+    ``max_events``.
     """
     from ..errors import TaskFailure
 
     os.makedirs(directory, exist_ok=True)
-    head: dict = {"type": "postmortem", "version": 2, "reason": reason,
+    head: dict = {"type": "postmortem", "version": 3, "reason": reason,
                   "time_unix": time.time(), "pid": os.getpid()}
     if error is not None:
         head["error"] = {"type": type(error).__name__, "message": str(error)}
@@ -543,9 +445,7 @@ def write_postmortem(directory: str, *, reason: str,
         head["session"] = session_stats
     if metrics is not None:
         head["metrics"] = metrics.to_dict()
-    events = flight.snapshot(last=max_events) if flight is not None else []
-    if flight is not None:
-        head["flight"] = flight.occupancy()
+    events = _event_lines(trace, error)[-max_events:]
     head["n_events"] = len(events)
 
     fname = (f"postmortem-{int(time.time())}-{os.getpid()}"
@@ -585,9 +485,9 @@ def live_metrics_text(session) -> str:
     """Prometheus text-format snapshot of a live session.
 
     Service counters and gauges come from the always-on session state
-    (metrics digests, pool/workspace/cache stats, flight-recorder
-    occupancy, profiler sample counts); when the session was built with
-    a :class:`~repro.obs.recorder.Collector`, its snapshot is appended.
+    (metrics digests, per-kernel totals folded from every solve's trace,
+    pool/workspace/cache stats); when the session was built with a
+    :class:`~repro.obs.recorder.Collector`, its snapshot is appended.
     """
     from .export import prom_label_value, prom_name, prometheus_text
     from .recorder import Collector
@@ -601,17 +501,28 @@ def live_metrics_text(session) -> str:
         lines.append(f"# TYPE {pn} {mtype}")
         lines.append(f"{pn} {float(value):.17g}")
 
+    def emit_table(name: str, label: str, values: dict) -> None:
+        """One counter family with a sample per ``label`` value."""
+        if not values:
+            return
+        pn = prom_name(name)
+        lines.append(f"# TYPE {pn} counter")
+        for key, value in sorted(values.items()):
+            lines.append(f'{pn}{{{label}="{prom_label_value(key)}"}} '
+                         f"{float(value):.17g}")
+
     m = session.metrics
     emit("session.solves_total", m.solves, "counter")
     emit("session.failures_total", m.failures, "counter")
     emit("session.fallbacks_total", m.fallbacks, "counter")
     emit("session.tasks_total", m.tasks, "counter")
-    by_jobz = m.to_dict()["solves_by_jobz"]
-    if by_jobz:
-        pn = prom_name("session.solves_by_jobz_total")
-        lines.append(f"# TYPE {pn} counter")
-        for mode, cnt in sorted(by_jobz.items()):
-            lines.append(f'{pn}{{jobz="{prom_label_value(mode)}"}} {cnt}')
+    emit_table("session.solves_by_jobz_total", "jobz",
+               dict(m.solves_by_jobz))
+    kernels = m.kernel_stats()
+    emit_table("session.kernel_seconds_total", "kernel",
+               {k: v["seconds"] for k, v in kernels.items()})
+    emit_table("session.kernel_tasks_total", "kernel",
+               {k: v["tasks"] for k, v in kernels.items()})
     emit("session.inflight", len(session._outstanding))
     emit("session.workers", session.n_workers)
     emit("session.last_solve_age_seconds", m.last_solve_age_s())
@@ -636,23 +547,6 @@ def live_metrics_text(session) -> str:
         emit("pool.workers_alive", pool.workers_alive)
         emit("pool.workers_parked", pool.parked)
         emit("pool.inflight_runs", len(pool._active))
-    flight = getattr(session, "flight", None)
-    if flight is not None:
-        occ = flight.occupancy()
-        emit("flight.recorded_total", occ["recorded"], "counter")
-        emit("flight.occupancy", occ["size"])
-        emit("flight.capacity", occ["capacity"])
-    prof = getattr(session, "profiler", None)
-    if prof is not None:
-        emit("profile.samples_total", prof.n_samples, "counter")
-        emit("profile.idle_samples_total", prof.idle_samples, "counter")
-        pn = prom_name("profile.kernel_samples_total")
-        by_kernel = prof.kernel_counts()
-        if by_kernel:
-            lines.append(f"# TYPE {pn} counter")
-            for kernel, cnt in sorted(by_kernel.items()):
-                lines.append(
-                    f'{pn}{{kernel="{prom_label_value(kernel)}"}} {cnt}')
     text = "\n".join(lines) + "\n"
     col = session.options.telemetry
     if isinstance(col, Collector):
@@ -690,18 +584,12 @@ def healthz_payload(session) -> tuple[int, dict]:
 
 
 def debug_state(session) -> dict:
-    """JSON snapshot for ``/debug/state``: digests, stats, occupancy."""
-    out = {"backend": session.backend, "n_workers": session.n_workers,
-           "closed": session._closed,
-           "metrics": session.metrics.to_dict(),
-           "stats": session.stats()}
-    flight = getattr(session, "flight", None)
-    if flight is not None:
-        out["flight"] = flight.occupancy()
-    prof = getattr(session, "profiler", None)
-    if prof is not None:
-        out["profiler"] = prof.summary_dict()
-    return out
+    """JSON snapshot for ``/debug/state``: digests, stats, kernel totals."""
+    return {"backend": session.backend, "n_workers": session.n_workers,
+            "closed": session._closed,
+            "metrics": session.metrics.to_dict(),
+            "kernels": session.metrics.kernel_stats(),
+            "stats": session.stats()}
 
 
 class MetricsServer:
@@ -712,8 +600,8 @@ class MetricsServer:
     * ``/metrics`` — Prometheus text format (:func:`live_metrics_text`);
     * ``/healthz`` — JSON liveness: 200 while the pool's workers are
       alive, 503 once the session is closed or workers died;
-    * ``/debug/state`` — JSON snapshot of digests, cache/workspace-pool
-      stats and flight-recorder occupancy;
+    * ``/debug/state`` — JSON snapshot of digests, per-kernel totals
+      and cache/workspace-pool stats;
     * ``/solve?n=N&type=T&seed=S`` — debug trigger: solve one Table III
       matrix on the session and return the latency (bounds the size to
       keep the probe harmless).

@@ -13,8 +13,8 @@ live, break ties toward the least-loaded node), or a user-supplied
 ``placement(task) -> node`` — e.g. the owner-computes tree partition
 used by the distributed-D&C study in the EXT-4 benchmark.
 
-The engine loop — readiness, payload execution with fault injection and
-flight recording, deadlock detection, counter emission — comes from
+The engine loop — readiness, payload execution with fault injection,
+the trace, deadlock detection, counter emission — comes from
 :class:`~repro.runtime.engine.VirtualExecutor`; this module owns only
 the placement policy and the network charge model.
 """
@@ -61,16 +61,15 @@ class ClusterMachine(VirtualExecutor):
     network : interconnect α–β model.
     placement : optional ``task -> node`` (None = data affinity).
     execute : run the functional payloads (False replays a solved graph).
-    recorder, injector, flight : the engine's observability endpoints and
-        fault-injection hook (same semantics as every other substrate).
+    recorder, injector : the engine's Collector and fault-injection hook
+        (same semantics as every other substrate).
     """
 
     def __init__(self, n_nodes: int = 2,
                  machine: Optional[Machine] = None,
                  network: Optional[Network] = None,
                  placement: Optional[Callable[[Task], Optional[int]]] = None,
-                 execute: bool = True, *, recorder=None, injector=None,
-                 flight=None):
+                 execute: bool = True, *, recorder=None, injector=None):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
@@ -78,7 +77,7 @@ class ClusterMachine(VirtualExecutor):
         self.network = network or Network()
         self.placement = placement
         super().__init__(execute=execute, recorder=recorder,
-                         injector=injector, flight=flight)
+                         injector=injector)
         self.bytes_on_wire = 0.0
         self.n_messages = 0
 

@@ -11,19 +11,19 @@ in common lives here, once —
   multi-threaded substrates;
 * :class:`EngineRun` — the run-isolation record: per-run dependency
   countdowns and readiness release, first-failure state, trace events,
-  and the single emission point for Trace / Collector counters and the
-  completion hook;
+  and the single emission point for the run's :class:`Trace` (built for
+  failed runs too), Collector counters and the completion hook;
 * :class:`ExecutionCore` — the run-scoped service bundle: dispatch-time
-  fault-injection guard, the FlightRecorder/typed-``TaskFailure``
-  failure path, and the success/failure counter conventions;
+  fault-injection guard, the typed-``TaskFailure`` failure path, and
+  the success/failure counter conventions;
 * :class:`WorkerStats` — per-worker telemetry slots merged off the hot
   path;
 * :class:`VirtualExecutor` — the discrete-event engine loop shared by
   the simulator family (:class:`~repro.runtime.simulator.SimulatedMachine`,
   :class:`~repro.runtime.distributed.ClusterMachine`,
   :class:`~repro.runtime.hetero.HeteroMachine`): readiness, payload
-  execution with faults and flight recording, deadlock detection and
-  counter emission, with the machine model (worker geometry, dispatch
+  execution with fault injection, deadlock detection and counter
+  emission, with the machine model (worker geometry, dispatch
   placement, virtual-clock advance) left to subclasses;
 * :func:`parent_epilogue` — the generic parent-side epilogue hook that
   replaces hardcoded kernel-name lists (e.g. the eigenvector-writer
@@ -107,19 +107,18 @@ class ReadyQueue:
 class ExecutionCore:
     """Run-scoped bundle of the engine's cross-cutting services.
 
-    Holds the observability endpoints (Collector ``recorder``,
-    ``FlightRecorder``) plus the fault ``injector``, and centralizes
-    what every substrate used to hand-roll: the dispatch-time fault
-    guard, the flight-recorded typed-failure path, and the
-    success/failure counter conventions.
+    Holds the Collector ``recorder`` plus the fault ``injector``, and
+    centralizes what every substrate shares: the dispatch-time fault
+    guard, the typed-failure path, and the success/failure counter
+    conventions.  The run's :class:`Trace` is the only per-task record;
+    nothing here is called per completed task.
     """
 
-    __slots__ = ("recorder", "injector", "flight")
+    __slots__ = ("recorder", "injector")
 
-    def __init__(self, recorder=None, injector=None, flight=None):
+    def __init__(self, recorder=None, injector=None):
         self.recorder = recorder
         self.injector = injector
-        self.flight = flight
 
     @property
     def observe(self) -> bool:
@@ -134,47 +133,35 @@ class ExecutionCore:
             self.injector.maybe_fail(task)
 
     # -- emission --------------------------------------------------------
-    def task_done(self, task, worker: int, t0: float, t1: float) -> None:
-        """Flight-record one executed task (bounded ring append)."""
-        if self.flight is not None:
-            self.flight.record_task(task, worker, t0, t1)
-
-    def task_failed(self, task, exc: BaseException,
-                    worker: Optional[int] = None, t0: float = 0.0,
-                    t1: float = 0.0,
-                    flight_worker: Optional[int] = None) -> BaseException:
-        """Flight-record a task failure and return the typed wrapper.
+    @staticmethod
+    def task_failed(task, exc: BaseException, worker: Optional[int] = None,
+                    trace: Optional[Trace] = None) -> BaseException:
+        """The typed wrapper of a task failure.
 
         The wrapper carries the task context (name, seq, tag, worker)
-        and chains ``exc`` as its ``__cause__``; callers raise it.
-        ``flight_worker`` overrides the worker id written to the ring
-        (the process pool records ``-1`` for dispatch-time injections).
+        and chains ``exc`` as its ``__cause__``; callers raise it.  The
+        inline substrates pass the run's partial ``trace``, attached as
+        ``failure.trace``; the pools attach theirs in
+        :meth:`EngineRun.finish`.
         """
-        if self.flight is not None:
-            w = flight_worker if flight_worker is not None else (
-                0 if worker is None else worker)
-            self.flight.record("task.fail", task.name, w, task.seq, t0, t1,
-                               detail=f"{type(exc).__name__}: {exc}")
         failure = wrap_task_error(task, exc, worker=worker)
         if failure is not exc:
             failure.__cause__ = exc
+        if trace is not None:
+            failure.trace = trace
         return failure
 
     def emit_success(self, n_tasks: int) -> None:
         if self.observe:
             self.recorder.add("scheduler.tasks", n_tasks)
 
-    def emit_failure(self, n_failures: int, n_cancelled: int,
-                     n_executed: Optional[int] = None) -> None:
-        """First-failure counters.  ``n_executed`` is recorded as
-        ``scheduler.tasks`` by the backends that count partial progress
-        (the pools); inline backends leave it ``None``."""
+    def emit_failure(self, n_failures: int, n_cancelled: int) -> None:
+        """First-failure counters of the inline substrates (the pools
+        count theirs, with partial progress, in :meth:`EngineRun.finish`)."""
         if self.observe:
             rec = self.recorder
             rec.add("scheduler.failures", n_failures)
             rec.add("scheduler.cancelled_tasks", n_cancelled)
-            if n_executed is not None:
-                rec.add("scheduler.tasks", n_executed)
 
 
 class EngineRun:
@@ -289,26 +276,28 @@ class EngineRun:
         once per run, only when no task of the run is executing or can
         still start.
 
-        Success: build the :class:`Trace` (events sorted into timeline
-        order) and count ``scheduler.tasks``.  Failure: count
-        ``scheduler.failures`` / ``scheduler.cancelled_tasks`` and the
-        partial ``scheduler.tasks`` progress.  Then run the completion
-        hook (exceptions swallowed — a hook must never kill a worker)
-        and set the done event.
+        Build the :class:`Trace` (events sorted into timeline order) —
+        on failure too, where it holds the tasks that completed and is
+        attached to the first error as ``.trace``.  Success: count
+        ``scheduler.tasks``.  Failure: count ``scheduler.failures`` /
+        ``scheduler.cancelled_tasks`` and the partial ``scheduler.tasks``
+        progress.  Then run the completion hook (exceptions swallowed —
+        a hook must never kill a worker) and set the done event.
         """
         rec = self.recorder
         observe = rec is not None and getattr(rec, "enabled", False)
-        if not self.failed:
-            trace = Trace(n_workers=n_workers, worker_names=worker_names)
-            self.events.sort(key=lambda e: (e.t_start, e.t_end, e.task_uid))
-            trace.events = self.events
-            self.trace = trace
+        trace = Trace(n_workers=n_workers, worker_names=worker_names)
+        self.events.sort(key=lambda e: (e.t_start, e.t_end, e.task_uid))
+        trace.events = self.events
+        self.trace = trace
+        if self.failed:
+            self.errors[0].trace = trace
             if observe:
-                rec.add("scheduler.tasks", self.n_tasks)
+                rec.add("scheduler.failures", len(self.errors))
+                rec.add("scheduler.cancelled_tasks", max(0, self.remaining))
+                rec.add("scheduler.tasks", self.n_executed)
         elif observe:
-            rec.add("scheduler.failures", len(self.errors))
-            rec.add("scheduler.cancelled_tasks", max(0, self.remaining))
-            rec.add("scheduler.tasks", self.n_executed)
+            rec.add("scheduler.tasks", self.n_tasks)
         if self.on_done is not None:
             try:
                 self.on_done(self)
@@ -386,9 +375,9 @@ class VirtualExecutor:
     Owns the full engine contract for the simulator backends: dependency
     countdowns and readiness release, the priority-ordered ready queue,
     functional-payload execution with the fault-injection guard,
-    first-failure cancellation and counters, flight recording (with
-    *virtual* timestamps), deadlock detection, and ready-depth/counter
-    emission.  Subclasses provide only the machine model via four hooks:
+    first-failure cancellation and counters, the trace (with *virtual*
+    timestamps), deadlock detection, and ready-depth/counter emission.
+    Subclasses provide only the machine model via four hooks:
 
     ``_virtual_workers()``
         Total worker rows in the trace.
@@ -411,15 +400,10 @@ class VirtualExecutor:
     """
 
     def __init__(self, *, execute: bool = True, recorder=None,
-                 injector=None, flight=None):
+                 injector=None):
         self.execute = execute
         self.recorder = recorder
         self.injector = injector
-        #: Optional :class:`~repro.obs.live.FlightRecorder`.  Events are
-        #: recorded with virtual timestamps (simulation seconds), which
-        #: keeps task identity/ordering inspectable in the ring even
-        #: though they do not align with the wall clock.
-        self.flight = flight
         self.trace: Optional[Trace] = None
 
     # -- substrate hooks -------------------------------------------------
@@ -442,8 +426,7 @@ class VirtualExecutor:
     def run(self, graph) -> Trace:
         graph.validate_acyclic()
         tasks = graph.tasks
-        core = self._core = ExecutionCore(self.recorder, self.injector,
-                                          self.flight)
+        core = self._core = ExecutionCore(self.recorder, self.injector)
         self._trace = trace = Trace(n_workers=self._virtual_workers())
         self._pending = {t.uid: t.n_deps for t in tasks}
         self._ready = ready = ReadyQueue()
@@ -479,9 +462,9 @@ class VirtualExecutor:
     def _exec_payload(self, task) -> None:
         """Run the functional payload at (virtual) dispatch time.
 
-        The first failure cancels the run: failure counters are emitted,
-        the flight ring records the failure (virtual timestamps), and
-        the typed :class:`~repro.errors.TaskFailure` propagates.  When
+        The first failure cancels the run: failure counters are emitted
+        and the typed :class:`~repro.errors.TaskFailure` propagates,
+        carrying the partial trace of the tasks completed so far.  When
         ``execute=False`` (replaying a solved graph) the payload is
         skipped but the task is still marked done.
         """
@@ -492,18 +475,17 @@ class VirtualExecutor:
                 task.run()
             except Exception as exc:
                 core.emit_failure(1, self._total - self._n_done - 1)
-                raise core.task_failed(task, exc, t0=self._now,
-                                       t1=self._now) from exc
+                raise core.task_failed(task, exc,
+                                       trace=self._trace) from exc
         task.mark_done()
 
     def _complete_task(self, task, worker: int, t_start: float,
                        t_end: float) -> None:
-        """Trace + flight one virtually-finished task and release its
-        successors into the ready queue."""
+        """Trace one virtually-finished task and release its successors
+        into the ready queue."""
         self._trace.record(TraceEvent(task.uid, task.name, worker,
                                       t_start, t_end, task.tag,
-                                      task.priority))
-        self._core.task_done(task, worker, t_start, t_end)
+                                      task.priority, task.seq))
         pending = self._pending
         ready = self._ready
         for s in task.successors:

@@ -324,7 +324,7 @@ def _proc_worker_main(wid: int, conn, results) -> None:
 
     Child -> parent over one bounded queue:
       ``("ready", wid)`` / ``("done", wid, rid, seq, t0, t1, delta)`` /
-      ``("fail", wid, rid, seq, t0, t1, exc)`` /
+      ``("fail", wid, rid, seq, exc)`` /
       ``("bounce", wid, rid, seq)`` (task for an unknown run) /
       ``("beginfail", wid, rid, exc)``
     """
@@ -347,7 +347,6 @@ def _proc_worker_main(wid: int, conn, results) -> None:
             if entry is None:
                 if rid in runs:              # poisoned replica
                     results.put(("fail", wid, rid, seq,
-                                 time.perf_counter(), time.perf_counter(),
                                  _encode_exc(RuntimeError(
                                      "replica state unavailable on this "
                                      "worker"))))
@@ -360,8 +359,7 @@ def _proc_worker_main(wid: int, conn, results) -> None:
                 task.run()
                 delta = _extract_delta(task, segs)
             except BaseException as exc:
-                results.put(("fail", wid, rid, seq, t0,
-                             time.perf_counter(), _encode_exc(exc)))
+                results.put(("fail", wid, rid, seq, _encode_exc(exc)))
                 continue
             t1 = time.perf_counter()
             task.mark_done()
@@ -442,13 +440,10 @@ class ProcPool:
     scheduling state.
     """
 
-    def __init__(self, n_workers: int, *, workspace, recorder=None,
-                 flight=None):
+    def __init__(self, n_workers: int, *, workspace, recorder=None):
         self.n_workers = max(1, int(n_workers))
         self.workspace = workspace
         self.recorder = recorder
-        self.flight = flight
-        self._core = ExecutionCore(None, None, flight)
         self._worker_names = [f"proc-worker-{w}"
                               for w in range(self.n_workers)]
         self._mp = mp.get_context("spawn")
@@ -460,7 +455,6 @@ class ProcPool:
         self._epochs = itertools.count()
         self._active: dict[int, EngineRun] = {}
         self._ready = ReadyQueue()            # (task, run) by engine key
-        self._current: list = [None] * self.n_workers
         self.runs_completed = 0
         self._shutdown = False
         self._workers = [self._spawn(w) for w in range(self.n_workers)]
@@ -610,9 +604,9 @@ class ProcPool:
     def _begin_payload(self, run: EngineRun) -> dict:
         ws = self.workspace
         ctx = run.ctx
-        # Strip parent-only machinery: telemetry/flight stay parent-side
-        # (events are forwarded), injectors run at dispatch, post-mortem
-        # bundles are written by the session.
+        # Strip parent-only machinery: telemetry stays parent-side (task
+        # timings come back in "done" messages), injectors run at
+        # dispatch, post-mortem bundles are written by the session.
         opts = run.opts.with_(telemetry=None, fault_injection=None,
                               postmortem_dir=None)
         payload = {"d": ctx.d_in, "e": ctx.e_in, "subset": ctx.subset,
@@ -661,7 +655,6 @@ class ProcPool:
             if w.load >= _PREFETCH:
                 free -= 1
             run.outstanding[task.seq] = (w.wid, w.epoch)
-            self._current[w.wid] = task
         for task, run in blocked:
             ready.push(task, run, run.order_base)
 
@@ -682,8 +675,6 @@ class ProcPool:
         w = self._workers[wid]
         if w.epoch == epoch:
             w.load = max(0, w.load - 1)
-            if self._current[wid] is not None:
-                self._current[wid] = None
 
     def _on_task_done(self, wid, rid, seq, t0, t1, blob) -> None:
         run = self._active.get(rid)
@@ -723,8 +714,7 @@ class ProcPool:
         task.mark_done()
         run.events.append(TraceEvent(task.uid, task.name, wid,
                                      t0 - run.t0, t1 - run.t0, task.tag,
-                                     task.priority))
-        self._core.task_done(task, wid, t0, t1)
+                                     task.priority, task.seq))
         base = run.order_base
         for s in run.release(task):
             self._ready.push(s, run, base)
@@ -734,7 +724,7 @@ class ProcPool:
             run.finalized = True
             self._finish_run(run)
 
-    def _on_task_fail(self, wid, rid, seq, t0, t1, enc) -> None:
+    def _on_task_fail(self, wid, rid, seq, enc) -> None:
         run = self._active.get(rid)
         if run is None:
             return
@@ -755,8 +745,7 @@ class ProcPool:
             # requeue on the surviving workers.
             self._ready.push(task, run, run.order_base)
             return
-        exc = _decode_exc(enc)
-        self._record_task_fail(run, task, wid, exc, t0=t0, t1=t1)
+        self._record_task_fail(run, task, wid, _decode_exc(enc))
 
     def _on_bounce(self, wid, rid, seq) -> None:
         run = self._active.get(rid)
@@ -785,14 +774,10 @@ class ProcPool:
 
     # -- failure paths ---------------------------------------------------
     def _record_task_fail(self, run: EngineRun, task, wid: int,
-                          exc: BaseException, t0: Optional[float] = None,
-                          t1: Optional[float] = None) -> None:
-        now = time.perf_counter()
-        failure = self._core.task_failed(
-            task, exc, worker=None if wid < 0 else wid,
-            t0=now if t0 is None else t0, t1=now if t1 is None else t1,
-            flight_worker=wid)
-        self._fail_run(run, failure)
+                          exc: BaseException) -> None:
+        """``wid`` is -1 for a dispatch-time (injected) failure."""
+        self._fail_run(run, ExecutionCore.task_failed(
+            task, exc, worker=None if wid < 0 else wid))
 
     def _fail_run(self, run: EngineRun, failure: BaseException,
                   count_task: bool = True) -> None:
@@ -812,7 +797,6 @@ class ProcPool:
                 continue
             w.alive = False
             w.outq.put(None)                  # stop the sender thread
-            self._current[w.wid] = None
             exitcode = w.proc.exitcode
             for run in list(self._active.values()):
                 run.eligible.discard(w.wid)
@@ -907,14 +891,6 @@ class ProcPool:
         run.finish(self.n_workers, self._worker_names)
 
     # -- introspection (health endpoint / session stats) -----------------
-    def current_tasks(self) -> list:
-        """Per-worker most-recently-dispatched task (``None`` = idle)."""
-        return list(self._current)
-
-    def queue_depths(self) -> list[int]:
-        """Per-worker in-flight dispatch depths (unlocked, approximate)."""
-        return [w.load for w in self._workers]
-
     @property
     def parked(self) -> int:
         """Workers with nothing dispatched to them right now."""

@@ -23,7 +23,7 @@ which rebuilds the D&C graph inside each worker instead of pickling
 payloads.
 
 Every backend is a substrate of the shared engine
-(:mod:`repro.runtime.engine`), so fault injection, flight recording,
+(:mod:`repro.runtime.engine`), so fault injection, the per-run trace,
 priorities and first-failure cancellation behave identically on all of
 them.
 """
@@ -51,18 +51,13 @@ class Quark:
     def __init__(self, backend: str = "sequential", *,
                  n_workers: Optional[int] = None,
                  machine: Optional[Machine] = None,
-                 recorder=None, fault_injection: Optional[FaultSpec] = None,
-                 flight=None):
+                 recorder=None, fault_injection: Optional[FaultSpec] = None):
         if backend not in QUARK_BACKENDS:
             raise InputError(
                 f"unknown Quark backend {backend!r}; expected one of "
                 f"{QUARK_BACKENDS}")
         self.backend = backend
         self.recorder = recorder
-        #: Optional :class:`~repro.obs.live.FlightRecorder` handed to
-        #: every backend (the simulator records virtual timestamps —
-        #: task identity and ordering stay inspectable in the ring).
-        self.flight = flight
         self.injector = (FaultInjector(fault_injection)
                          if fault_injection is not None else None)
         self.machine = machine if machine is not None else (
@@ -89,16 +84,13 @@ class Quark:
     def _make_scheduler(self):
         if self.backend == "sequential":
             return SequentialScheduler(recorder=self.recorder,
-                                       injector=self.injector,
-                                       flight=self.flight)
+                                       injector=self.injector)
         if self.backend == "threads":
             return ThreadScheduler(self.n_workers, recorder=self.recorder,
-                                   injector=self.injector,
-                                   flight=self.flight)
+                                   injector=self.injector)
         return SimulatedMachine(self.machine, n_workers=self.n_workers,
                                 recorder=self.recorder,
-                                injector=self.injector,
-                                flight=self.flight)
+                                injector=self.injector)
 
     def barrier(self) -> Trace:
         """Execute every task submitted since the previous barrier."""

@@ -60,48 +60,34 @@ def default_thread_workers() -> int:
 class SequentialScheduler:
     """Run the whole graph on the calling thread, in submission order."""
 
-    def __init__(self, recorder=None, injector=None, flight=None) -> None:
+    def __init__(self, recorder=None, injector=None) -> None:
         self.trace: Optional[Trace] = None
         self.recorder = recorder
         self.injector = injector
-        #: Optional :class:`~repro.obs.live.FlightRecorder`: one bounded
-        #: ring append per executed task (plus failures), so a session
-        #: can reconstruct the recent past after a crash.
-        self.flight = flight
-        self._current: list = [None]
-
-    def current_tasks(self) -> list:
-        """The task executing now (one slot; ``None`` when idle)."""
-        return list(self._current)
 
     def run(self, graph: TaskGraph) -> Trace:
         graph.validate_acyclic()
         trace = Trace(n_workers=1)
-        core = ExecutionCore(self.recorder, self.injector, self.flight)
+        core = ExecutionCore(self.recorder, self.injector)
         guard = core.guard
-        task_done = core.task_done
-        cur = self._current
+        record = trace.record
         tasks = graph.tasks
         t0 = time.perf_counter()
         for i, task in enumerate(tasks):
-            cur[0] = task
             a = time.perf_counter() - t0
             try:
                 guard(task)
                 task.run()
             except Exception as exc:
                 # First failure cancels the run: the remaining tasks are
-                # dropped and the exception propagates with task context.
-                cur[0] = None
+                # dropped and the exception propagates with task context
+                # and the partial trace.
                 core.emit_failure(1, len(tasks) - i - 1)
-                raise core.task_failed(task, exc, t0=t0 + a,
-                                       t1=time.perf_counter()) from exc
+                raise core.task_failed(task, exc, trace=trace) from exc
             task.mark_done()
             b = time.perf_counter() - t0
-            cur[0] = None
-            trace.record(TraceEvent(task.uid, task.name, 0, a, b, task.tag,
-                                    task.priority))
-            task_done(task, 0, t0 + a, t0 + b)
+            record(TraceEvent(task.uid, task.name, 0, a, b, task.tag,
+                              task.priority, task.seq))
         core.emit_success(len(tasks))
         self.trace = trace
         return trace
@@ -141,7 +127,7 @@ class WorkerPool:
     """
 
     def __init__(self, n_workers: Optional[int] = None, n_stripes: int = 64,
-                 recorder=None, flight=None, worker_names=_POOL_DEFAULT,
+                 recorder=None, worker_names=_POOL_DEFAULT,
                  record_idle: bool = False):
         if n_workers is None:
             n_workers = default_thread_workers()
@@ -150,10 +136,6 @@ class WorkerPool:
         self.n_workers = n_workers
         self.n_stripes = max(1, n_stripes)
         self.recorder = recorder
-        #: Optional :class:`~repro.obs.live.FlightRecorder` shared by
-        #: every run of the pool (one bounded append per task).
-        self.flight = flight
-        self._core = ExecutionCore(recorder, None, flight)
         if worker_names is _POOL_DEFAULT:
             names = [f"pool-worker-{w}" for w in range(n_workers)]
         else:
@@ -163,10 +145,6 @@ class WorkerPool:
         #: only when ``record_idle`` (the one-shot facade's idle track).
         self._idles: Optional[list[tuple[int, float, float]]] = (
             [] if record_idle else None)
-        #: Per-worker currently-executing task slots (``None`` = idle);
-        #: GIL-atomic stores, read racily by the sampling profiler and
-        #: the health endpoint.
-        self._current: list = [None] * n_workers
         self._parked = 0        # workers blocked on the condvar now
         self._deques = [ReadyQueue(locked=True) for _ in range(n_workers)]
         self._stripes = [threading.Lock() for _ in range(self.n_stripes)]
@@ -244,9 +222,8 @@ class WorkerPool:
         n_stripes = self.n_stripes
         state = self._state
         st = self._wstats[wid] if self._wstats is not None else None
-        core = self._core
+        task_failed = ExecutionCore.task_failed
         idles = self._idles
-        current = self._current
         while True:
             # Unlocked reads are safe under the GIL; the condvar re-checks
             # before parking, so no wakeup can be lost.
@@ -275,7 +252,6 @@ class WorkerPool:
                 if run.finalized:
                     continue        # failed run: drain queued tasks as no-ops
                 run.inflight += 1
-            current[wid] = task
             inj = run.injector
             a = time.perf_counter()
             try:
@@ -283,21 +259,16 @@ class WorkerPool:
                     inj.maybe_fail(task)
                 task.run()
             except Exception as exc:
-                current[wid] = None
-                self._fail_run(run, core.task_failed(
-                    task, exc, worker=wid, t0=a, t1=time.perf_counter()))
+                self._fail_run(run, task_failed(task, exc, worker=wid))
                 continue
             except BaseException as exc:    # KeyboardInterrupt & co.
-                current[wid] = None
                 self._fail_run(run, exc)
                 continue
             b = time.perf_counter()
             task.mark_done()
-            current[wid] = None
             run.events.append(TraceEvent(task.uid, task.name, wid,
                                          a - run.t0, b - run.t0, task.tag,
-                                         task.priority))
-            core.task_done(task, wid, a, b)
+                                         task.priority, task.seq))
 
             made_ready = 0
             if not run.failed:
@@ -418,15 +389,7 @@ class WorkerPool:
             for w, st in enumerate(self._wstats):
                 st.emit(rec, w)
 
-    # -- introspection (health endpoint / sampling profiler) -------------
-    def current_tasks(self) -> list:
-        """Per-worker currently-executing task (``None`` = idle)."""
-        return list(self._current)
-
-    def queue_depths(self) -> list[int]:
-        """Per-worker ready-queue depths (unlocked, approximate)."""
-        return [len(d) for d in self._deques]
-
+    # -- introspection (health endpoint) ---------------------------------
     @property
     def idle_intervals(self) -> list[tuple[int, float, float]]:
         """Absolute park intervals (empty unless ``record_idle``)."""
@@ -466,7 +429,7 @@ class ThreadScheduler:
     """
 
     def __init__(self, n_workers: Optional[int] = None, n_stripes: int = 64,
-                 recorder=None, injector=None, flight=None):
+                 recorder=None, injector=None):
         if n_workers is None:
             n_workers = default_thread_workers()
         if n_workers < 1:
@@ -475,32 +438,13 @@ class ThreadScheduler:
         self.n_stripes = max(1, n_stripes)
         self.recorder = recorder
         self.injector = injector
-        #: Optional :class:`~repro.obs.live.FlightRecorder` (one bounded
-        #: ring append per executed task / failure).
-        self.flight = flight
         self.trace: Optional[Trace] = None
-        self._pool: Optional[WorkerPool] = None
-
-    def current_tasks(self) -> list:
-        """Per-worker currently-executing task slots (``None`` = idle)."""
-        pool = self._pool
-        if pool is not None:
-            return pool.current_tasks()
-        return [None] * self.n_workers
-
-    def queue_depths(self) -> list[int]:
-        """Per-worker ready-queue depths (unlocked, approximate)."""
-        pool = self._pool
-        if pool is not None:
-            return pool.queue_depths()
-        return [0] * self.n_workers
 
     def run(self, graph: TaskGraph) -> Trace:
         graph.validate_acyclic()
         pool = WorkerPool(self.n_workers, self.n_stripes,
-                          recorder=self.recorder, flight=self.flight,
-                          worker_names=None, record_idle=True)
-        self._pool = pool
+                          recorder=self.recorder, worker_names=None,
+                          record_idle=True)
         try:
             run = pool.submit(graph, recorder=self.recorder,
                               injector=self.injector)
@@ -509,7 +453,8 @@ class ThreadScheduler:
             pool.shutdown()
         if run.errors:
             # All workers are joined; the queued-but-never-run tasks
-            # were drained as no-ops.  Surface the first failure, typed.
+            # were drained as no-ops.  Surface the first failure, typed
+            # (it carries the partial trace).
             raise run.errors[0]
         trace = run.trace
         for w, pa, pb in pool.idle_intervals:

@@ -22,8 +22,8 @@ The functional payload of every task still runs (in virtual-time order),
 so deflation-dependent task costs — evaluated lazily — reflect the real
 matrix, exactly as in the paper where the DAG is matrix-independent but
 task *work* is not.  Because payloads run under the engine, fault
-injection and flight recording work here exactly as on the wall-clock
-substrates (flight timestamps are virtual seconds).
+injection and the per-run trace work here exactly as on the wall-clock
+substrates (trace timestamps are virtual seconds).
 """
 
 from __future__ import annotations
@@ -124,15 +124,14 @@ class SimulatedMachine(VirtualExecutor):
     instantaneous rates of all running tasks are recomputed; memory-bound
     tasks on socket *s* each progress at
     ``min(stream_bw, socket_bw / n_mem(s))`` bytes/s.  Readiness,
-    payload execution, faults, flight recording and counter emission come
+    payload execution, faults, the trace and counter emission come
     from :class:`~repro.runtime.engine.VirtualExecutor`; this class owns
     only the machine model (socket placement and the fluid clock).
     """
 
     def __init__(self, machine: Machine | None = None,
                  n_workers: Optional[int] = None,
-                 execute: bool = True, recorder=None, injector=None,
-                 flight=None):
+                 execute: bool = True, recorder=None, injector=None):
         base = machine or Machine()
         self.machine = base
         # Fewer workers than cores keeps the base socket geometry and
@@ -141,7 +140,7 @@ class SimulatedMachine(VirtualExecutor):
                                        and n_workers != base.n_cores) \
             else base.n_cores
         super().__init__(execute=execute, recorder=recorder,
-                         injector=injector, flight=flight)
+                         injector=injector)
 
     # -- substrate hooks -------------------------------------------------
     def _virtual_workers(self) -> int:

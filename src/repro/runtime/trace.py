@@ -1,9 +1,12 @@
 """Execution traces: the data behind the paper's Figs. 3 and 4.
 
-Both runtime backends (thread pool and discrete-event simulator) record a
-:class:`TraceEvent` per executed task.  :class:`Trace` computes makespan,
-per-kernel time breakdowns and idle fractions, and renders an ASCII Gantt
-chart comparable to the paper's execution traces.
+Every execution substrate records one :class:`TraceEvent` per completed
+task, once, into the run's :class:`Trace` — the run's event log.  A
+failed run keeps its partial trace (attached to the raised error as
+``.trace``).  :class:`Trace` computes makespan, per-kernel time
+breakdowns and idle fractions, and renders an ASCII Gantt chart
+comparable to the paper's execution traces; session metrics, post-mortem
+bundles and collapsed stacks are all derived from it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ class TraceEvent:
     #: the D&C graph) — annotated into trace exports so Perfetto studies
     #: can color by it.
     priority: int = 0
+    #: Submission index in the run's graph (``Task.seq``): the number a
+    #: :class:`~repro.errors.TaskFailure` and a fault spec name a task by.
+    seq: int = -1
 
     @property
     def duration(self) -> float:

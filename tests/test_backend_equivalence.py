@@ -85,9 +85,10 @@ def test_merge_stats_deterministic_across_backends():
                                              ("simulated", 4)])
 def test_backends_bitwise_identical_with_service_layer(tmp_path, backend,
                                                        workers):
-    # The live-observability layer (flight recorder on, digest-backed
-    # telemetry, postmortem_dir configured) must not perturb a single
-    # bit of the results on any backend.
+    # The live-observability layer (per-solve trace folded into the
+    # session metrics, digest-backed telemetry, postmortem_dir
+    # configured) must not perturb a single bit of the results on any
+    # backend.
     from repro.core.session import SolverSession
     from repro.obs import Collector
 

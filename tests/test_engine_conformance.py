@@ -14,8 +14,9 @@ eigensolver's process pool, which runs only D&C graphs, is pinned by
   and no dependent task runs after it;
 * ``nth``-match fault determinism: the same :class:`FaultSpec` kills
   the same task on every backend;
-* flight-ring occupancy: one ``task`` event per executed task on every
-  substrate, including the virtual machines;
+* the run's event log: one trace event per executed task on every
+  substrate, including the virtual machines, and a failed run's partial
+  trace reaches the caller on the raised error;
 * run isolation: two concurrently-submitted pool runs do not share
   failure state;
 * the privacy boundary: no runtime module imports another runtime
@@ -31,7 +32,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import TaskFailure
-from repro.obs.live import FlightRecorder
 from repro.runtime import (
     INOUT, INPUT, ClusterMachine, DataHandle, FaultInjector, FaultSpec,
     HeteroMachine, Machine, SequentialScheduler,
@@ -65,16 +65,16 @@ def _one_core() -> Machine:
     return Machine(n_cores=1, n_sockets=1)
 
 
-def _run_sequential(graph, injector=None, flight=None):
-    return SequentialScheduler(injector=injector, flight=flight).run(graph)
+def _run_sequential(graph, injector=None):
+    return SequentialScheduler(injector=injector).run(graph)
 
 
-def _run_threads(graph, injector=None, flight=None):
-    return ThreadScheduler(1, injector=injector, flight=flight).run(graph)
+def _run_threads(graph, injector=None):
+    return ThreadScheduler(1, injector=injector).run(graph)
 
 
-def _run_pool(graph, injector=None, flight=None):
-    pool = WorkerPool(1, flight=flight)
+def _run_pool(graph, injector=None):
+    pool = WorkerPool(1)
     try:
         run = pool.submit(graph, injector=injector)
         run.wait()
@@ -83,19 +83,18 @@ def _run_pool(graph, injector=None, flight=None):
     return run.result()
 
 
-def _run_simulated(graph, injector=None, flight=None):
-    return SimulatedMachine(_one_core(), injector=injector,
-                            flight=flight).run(graph)
+def _run_simulated(graph, injector=None):
+    return SimulatedMachine(_one_core(), injector=injector).run(graph)
 
 
-def _run_cluster(graph, injector=None, flight=None):
+def _run_cluster(graph, injector=None):
     return ClusterMachine(n_nodes=1, machine=_one_core(),
-                          injector=injector, flight=flight).run(graph)
+                          injector=injector).run(graph)
 
 
-def _run_hetero(graph, injector=None, flight=None):
+def _run_hetero(graph, injector=None):
     return HeteroMachine(machine=_one_core(), accelerators=0,
-                         injector=injector, flight=flight).run(graph)
+                         injector=injector).run(graph)
 
 
 EXECUTORS = {
@@ -189,18 +188,27 @@ def test_nth_fault_deterministic(name):
     assert ei.value.seq == expected_seq
 
 
-# -- flight-ring occupancy -------------------------------------------------
+# -- the run's event log ---------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL)
-def test_flight_ring_records_every_task(name):
+def test_trace_records_every_task(name):
     g = _fan_graph()
-    n_tasks = len(g.tasks)
-    expected_names = {t.name for t in g.tasks}
-    fr = FlightRecorder(capacity=256)
-    EXECUTORS[name](g, flight=fr)
-    task_events = [ev for ev in fr.snapshot() if ev["kind"] == "task"]
-    assert len(task_events) == n_tasks
-    assert {ev["name"] for ev in task_events} == expected_names
+    trace = EXECUTORS[name](g)
+    # Exactly one event per executed task, naming the task's seq.
+    assert sorted(ev.seq for ev in trace.events) == [t.seq for t in g.tasks]
+    assert [ev.name for ev in sorted(trace.events, key=lambda ev: ev.seq)] \
+        == [t.name for t in g.tasks]
+
+    # A failed run's partial log reaches the caller on the error: the
+    # three links that completed before the fault, and nothing else.
+    chain = _chain_graph(6)
+    inj = FaultInjector(FaultSpec(task_seq=chain.tasks[3].seq))
+    with pytest.raises(TaskFailure) as ei:
+        EXECUTORS[name](chain, injector=inj)
+    partial = ei.value.trace
+    assert partial is not None
+    assert sorted(ev.seq for ev in partial.events) \
+        == [t.seq for t in chain.tasks[:3]]
 
 
 # -- run isolation ---------------------------------------------------------

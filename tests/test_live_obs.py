@@ -1,11 +1,13 @@
-"""Live service observability: flight recorder, streaming digests,
-post-mortem bundles, and the /metrics endpoint (repro/obs/live).
+"""Live service observability: streaming digests, per-kernel totals,
+post-mortem bundles replaying the failing run's trace, and the /metrics
+endpoint (repro/obs/live).
 """
 
 import json
 import math
 import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -16,8 +18,8 @@ from repro.core import DCOptions
 from repro.core.session import SolverSession
 from repro.errors import TaskFailure
 from repro.matrices import test_matrix as table3_matrix
-from repro.obs import (Digest, FlightRecorder, SessionMetrics,
-                       healthz_payload, live_metrics_text, write_postmortem)
+from repro.obs import (Digest, SessionMetrics, healthz_payload,
+                       live_metrics_text, write_postmortem)
 from repro.runtime import FaultSpec
 
 
@@ -117,98 +119,6 @@ def test_digest_ramp_quantiles():
 
 
 # ---------------------------------------------------------------------------
-# Flight recorder
-# ---------------------------------------------------------------------------
-
-def test_flight_recorder_bounded_and_ordered():
-    fr = FlightRecorder(capacity=64, n_stripes=4)
-    for i in range(500):
-        fr.record("task", f"K{i}", worker=i % 3, task_seq=i)
-    occ = fr.occupancy()
-    assert occ["capacity"] == 64
-    assert occ["size"] <= 64
-    assert occ["recorded"] == 500
-    assert occ["dropped"] == 500 - occ["size"]
-    snap = fr.snapshot()
-    seqs = [ev["seq"] for ev in snap]
-    assert seqs == sorted(seqs)
-    # Round-robin striping: retention stays near full capacity (the
-    # oldest retained event is recent).
-    assert seqs[0] >= 500 - 64 - 4
-    assert fr.snapshot(last=10) == snap[-10:]
-
-
-def test_flight_recorder_concurrent_appends():
-    fr = FlightRecorder(capacity=4096, n_stripes=8)
-
-    def spam(w):
-        for i in range(300):
-            fr.record("task", "K", worker=w, task_seq=i)
-
-    threads = [threading.Thread(target=spam, args=(w,)) for w in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    occ = fr.occupancy()
-    assert occ["recorded"] == 1200 and occ["dropped"] == 0
-    assert len(fr.snapshot()) == 1200
-
-
-def test_flight_recorder_task_events():
-    class T:
-        name, seq, tag = "LAED4", 17, (0, 100)
-
-    fr = FlightRecorder()
-    fr.record_task(T(), worker=2, t0=fr.t0_abs + 1.0, t1=fr.t0_abs + 2.0)
-    (ev,) = fr.snapshot()
-    assert ev["kind"] == "task" and ev["name"] == "LAED4"
-    assert ev["worker"] == 2 and ev["task_seq"] == 17
-    assert ev["detail"] == "(0, 100)"
-    assert ev["t0"] == pytest.approx(1.0) and ev["t1"] == pytest.approx(2.0)
-
-
-def test_flight_snapshot_trims_to_contiguous_suffix():
-    # White-box: per-stripe rings evict independently, so after
-    # wraparound a stripe can hold a stale survivor from an older epoch.
-    # Craft that state directly: capacity 8, 2 stripes (per-stripe 4),
-    # stripe 0 = seqs (8, 10, 12, 14), stripe 1 = (1, 9, 11, 13) — seq 1
-    # is a pre-wraparound straggler that a naive sorted union would
-    # replay with a 7-event hole after it.
-    fr = FlightRecorder(capacity=8, n_stripes=2)
-
-    def ev(seq):
-        return (seq, "task", f"K{seq}", -1, -1, 0.0, 0.0, "")
-
-    for seq in (8, 10, 12, 14):
-        fr._stripes[0][1].append(ev(seq))
-    for seq in (1, 9, 11, 13):
-        fr._stripes[1][1].append(ev(seq))
-    fr._next_seq = 15
-
-    seqs = [e["seq"] for e in fr.snapshot()]
-    assert seqs == [8, 9, 10, 11, 12, 13, 14]   # contiguous, seq 1 trimmed
-    occ = fr.occupancy()
-    assert occ == {"capacity": 8, "size": 8, "recorded": 15,
-                   "dropped": 7, "trimmed": 1, "replayable": 7}
-
-
-def test_flight_occupancy_is_read_only():
-    # Regression: the recorded counter must be observable without being
-    # consumed — repeated occupancy() calls agree, and the next event
-    # still gets the next sequence number.
-    fr = FlightRecorder(capacity=16, n_stripes=2)
-    for _ in range(5):
-        fr.record("task", "K")
-    assert fr.occupancy()["recorded"] == 5
-    assert fr.occupancy()["recorded"] == 5
-    fr.record("task", "K")
-    occ = fr.occupancy()
-    assert occ["recorded"] == 6 and occ["dropped"] == 0
-    assert [e["seq"] for e in fr.snapshot()] == list(range(6))
-
-
-# ---------------------------------------------------------------------------
 # Session metrics
 # ---------------------------------------------------------------------------
 
@@ -228,35 +138,89 @@ def test_session_metrics_merge_across_sessions():
     assert merged.last_solve_age_s() is not None
 
 
-def test_session_records_metrics_and_flight():
+def _kernel_totals(trace):
+    return {name: {"seconds": secs, "tasks": trace.kernel_counts()[name]}
+            for name, secs in trace.kernel_times().items()}
+
+
+def test_session_metrics_self_merge_doubles():
+    # merge() must never hold both sessions' locks: with one session on
+    # both sides that would wait on its own non-reentrant lock.  Run it
+    # on a thread with a deadline so a deadlock fails the test instead
+    # of wedging the suite.
+    m = SessionMetrics()
+
+    class _Trace:
+        def kernel_times(self):
+            return {"LAED4": 0.5, "STEDC": 0.25}
+
+        def kernel_counts(self):
+            return {"LAED4": 3, "STEDC": 2}
+
+    for i in range(10):
+        m.note_solve(0.01 * (i + 1), n_tasks=5, jobz="V", trace=_Trace())
+    th = threading.Thread(target=m.merge, args=(m,), daemon=True)
+    th.start()
+    th.join(timeout=10.0)
+    assert not th.is_alive(), "SessionMetrics.merge(self) deadlocked"
+    assert m.solves == 20 and m.tasks == 100
+    assert m.solves_by_jobz == {"V": 20}
+    assert m.digest_stats()["latency_s"]["count"] == 20
+    assert m.kernel_stats() == {"LAED4": {"seconds": 10.0, "tasks": 60},
+                                "STEDC": {"seconds": 5.0, "tasks": 40}}
+
+
+def test_session_metrics_merge_never_holds_both_locks():
+    # Two threads merging two sessions into each other take the locks in
+    # opposite orders, so a.merge(b) must not keep a's lock while it
+    # waits for b's.  Stage that interleaving deterministically: hold b's
+    # lock (as a concurrent b.merge(a) would), start a.merge(b), then
+    # take a's lock the way that concurrent merge would next.
+    a, b = SessionMetrics(), SessionMetrics()
+    a.note_solve(0.01, n_tasks=1)
+    b.note_solve(0.02, n_tasks=2)
+    b._lock.acquire()
+    try:
+        merger = threading.Thread(target=a.merge, args=(b,), daemon=True)
+        merger.start()
+        time.sleep(0.2)                  # a.merge(b) now waits on b's lock
+        got_a = a._lock.acquire(timeout=5.0)
+        if got_a:
+            a._lock.release()
+    finally:
+        b._lock.release()
+    merger.join(timeout=10.0)
+    assert got_a, "a.merge(b) held a's lock while waiting for b's"
+    assert not merger.is_alive()
+    assert a.solves == 2 and a.tasks == 3
+
+
+def test_session_records_metrics_and_kernels():
     d, e = _problem(160)
     with SolverSession(backend="threads", n_workers=2,
                        options=DCOptions(minpart=32)) as s:
-        lam0, V0 = s.solve(d, e)
-        lam1, V1 = s.solve(d, e)
-        np.testing.assert_array_equal(lam0, lam1)
-        np.testing.assert_array_equal(V0, V1)
+        res0 = s.solve(d, e, full_result=True)
+        res1 = s.solve(d, e, full_result=True)
+        np.testing.assert_array_equal(res0.lam, res1.lam)
+        np.testing.assert_array_equal(res0.V, res1.V)
         assert s.metrics.solves == 2
         assert s.metrics.failures == 0
-        assert s.metrics.tasks > 0
         dig = s.metrics.digest_stats()
         assert dig["latency_s"]["count"] == 2
         assert dig["deflation_ratio"]["count"] > 0
-        occ = s.flight.occupancy()
-        assert occ["recorded"] >= s.metrics.tasks
-        kinds = {ev["kind"] for ev in s.flight.snapshot()}
-        assert {"task", "solve.done"} <= kinds
-        stats = s.stats()
-        assert stats["flight"]["recorded"] == occ["recorded"]
-        assert stats["metrics"]["solves"] == 2
-
-
-def test_session_flight_opt_out():
-    d, e = _problem(80)
-    with SolverSession(backend="sequential", flight=False) as s:
-        s.solve(d, e)
-        assert s.flight is None
-        assert s.metrics.solves == 1
+        # The per-kernel totals are exactly the two solves' traces.
+        assert s.metrics.tasks == len(res0.trace.events) \
+            + len(res1.trace.events)
+        expected = _kernel_totals(res0.trace)
+        for name, tot in _kernel_totals(res1.trace).items():
+            expected[name]["seconds"] += tot["seconds"]
+            expected[name]["tasks"] += tot["tasks"]
+        got = s.metrics.kernel_stats()
+        assert set(got) == set(expected)
+        for name, tot in got.items():
+            assert tot["tasks"] == expected[name]["tasks"]
+            assert tot["seconds"] == pytest.approx(expected[name]["seconds"])
+        assert s.stats()["metrics"]["solves"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +230,8 @@ def test_session_flight_opt_out():
 def _read_bundle(path):
     lines = [json.loads(ln) for ln in path.read_text().splitlines()]
     head, events = lines[0], lines[1:]
-    assert head["type"] == "postmortem" and head["version"] == 2
-    assert "calibration" not in head
+    assert head["type"] == "postmortem" and head["version"] == 3
+    assert "calibration" not in head and "flight" not in head
     assert all(ev["type"] == "event" for ev in events)
     assert head["n_events"] == len(events)
     return head, events
@@ -301,14 +265,18 @@ def test_postmortem_bundle_on_task_failure(tmp_path):
     assert head["options"]["postmortem_dir"] == str(tmp_path)
     assert head["options"]["fault_injection"]["task_seq"] == n_tasks - 1
     assert head["session"]["metrics"]["solves"] == 2
-    assert head["flight"]["capacity"] >= len(events)
-    # The ring replays the run-up to the failure, including the failing
-    # task itself.
-    assert len(events) >= 256
-    fails = [ev for ev in events if ev["kind"] == "task.fail"]
-    assert any(ev["task_seq"] == ei.value.seq and ev["worker"] >= 0
-               for ev in fails)
-    assert sum(ev["kind"] == "task" for ev in events) >= 256
+    # The bundle replays exactly the failing run: every task that
+    # completed before the fault on the last one, then the failure.
+    tasks = [ev for ev in events if ev["kind"] == "task"]
+    assert len(tasks) == n_tasks - 1
+    assert sorted(ev["task_seq"] for ev in tasks) == list(range(n_tasks - 1))
+    assert {"name", "worker", "task_seq", "t0", "t1"} <= set(tasks[0])
+    (fail,) = [ev for ev in events if ev["kind"] == "task.fail"]
+    assert events[-1] == fail
+    assert fail["task_seq"] == ei.value.seq == n_tasks - 1
+    assert fail["name"] == ei.value.task_name
+    assert fail["detail"].startswith("InjectedFault")
+    assert len(events) == n_tasks
 
 
 def test_postmortem_bundle_on_steqr_fallback(tmp_path, monkeypatch):
@@ -329,6 +297,27 @@ def test_postmortem_bundle_on_steqr_fallback(tmp_path, monkeypatch):
     assert "error" not in head
     assert head["metrics"]["fallbacks"] > 0
     assert events
+
+
+def test_postmortem_bundle_replays_own_run_on_threads(tmp_path):
+    d, e = table3_matrix(4, 300, seed=3)
+    spec = FaultSpec(kernel="LAED4", nth=2)
+    opts = DCOptions(minpart=32, postmortem_dir=str(tmp_path),
+                     fault_injection=spec)
+    with SolverSession(backend="threads", n_workers=2) as s:
+        s.solve(d, e)                            # a healthy run first
+        with pytest.raises(TaskFailure) as ei:
+            s.submit(d, e, options=opts).result()
+    partial = ei.value.trace
+    (bundle,) = sorted(tmp_path.glob("postmortem-*.jsonl"))
+    head, events = _read_bundle(bundle)
+    tasks = [ev for ev in events if ev["kind"] == "task"]
+    assert sorted((ev["name"], ev["task_seq"], ev["worker"])
+                  for ev in tasks) \
+        == sorted((ev.name, ev.seq, ev.worker) for ev in partial.events)
+    (fail,) = [ev for ev in events if ev["kind"] == "task.fail"]
+    assert fail["task_seq"] == ei.value.seq
+    assert fail["worker"] == ei.value.worker
 
 
 def test_postmortem_env_var(tmp_path, monkeypatch):
@@ -366,7 +355,16 @@ def test_live_metrics_text_grammar_and_counters():
     assert "repro_session_failures_total 0\n" in text
     assert 'repro_session_latency_s{quantile="0.99"}' in text
     assert "repro_pool_workers_alive 2\n" in text
-    assert "repro_flight_recorded_total" in text
+    assert "repro_flight" not in text and "repro_profile" not in text
+    # After only successful solves the per-kernel task counters sum to
+    # the session's task counter.
+    total = int(re.search(r"^repro_session_tasks_total (\d+)", text,
+                          re.M).group(1))
+    per_kernel = re.findall(
+        r'^repro_session_kernel_tasks_total\{kernel="\w+"\} (\d+)', text,
+        re.M)
+    assert per_kernel and sum(map(int, per_kernel)) == total > 0
+    assert 'repro_session_kernel_seconds_total{kernel="LAED4"}' in text
 
 
 def test_healthz_transitions():
@@ -410,7 +408,8 @@ def test_healthz_and_debug_endpoints(served_session):
     state = json.loads(body)
     assert state["backend"] == "threads"
     assert state["closed"] is False
-    assert "flight" in state and "metrics" in state
+    assert "metrics" in state
+    assert state["kernels"] == {}                # no solve yet
 
 
 def test_solve_endpoint_increments_counters(served_session):
@@ -456,7 +455,7 @@ def test_results_identical_with_service_layer(tmp_path):
     lam0, V0 = dc_eigh(d, e)
     opts = DCOptions(postmortem_dir=str(tmp_path))
     with SolverSession(backend="threads", n_workers=3, options=opts,
-                       serve_port=0, profile_interval_s=0.002) as s:
+                       serve_port=0) as s:
         lam1, V1 = s.solve(d, e)
     np.testing.assert_array_equal(lam0, lam1)
     np.testing.assert_array_equal(V0, V1)

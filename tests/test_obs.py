@@ -353,8 +353,8 @@ def test_cli_trace_out(tmp_path, capsys):
                  "--cores", "3", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "steal attempts" in text and "LAED4 iterations" in text
-    for fname in ("trace.jsonl", "trace_chrome.json", "gantt.txt",
-                  "summary.txt", "telemetry.prom"):
+    for fname in ("trace.jsonl", "trace_chrome.json", "trace.folded",
+                  "gantt.txt", "summary.txt", "telemetry.prom"):
         assert (out / fname).exists(), fname
     with open(out / "trace_chrome.json") as fh:
         doc = json.load(fh)

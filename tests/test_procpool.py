@@ -7,14 +7,15 @@ matrix types, graph-cache reuse, sessions and subsets), typed failure
 semantics matching the other backends (injected faults, first-failure
 cancellation, batch isolation), crash containment (a killed worker
 degrades to a typed ``TaskFailure`` and the pool respawns), and the
-observability surface (``proc-worker-N`` trace lanes, flight recorder,
-session metrics).
+observability surface (``proc-worker-N`` trace lanes, per-kernel
+session metrics, post-mortem bundles replaying the failing run's trace).
 
 Worker processes take ~a second to spawn, so most tests share one
 module-scoped session; tests that kill workers or tear down the pool
 build their own.
 """
 
+import json
 import os
 import signal
 import time
@@ -209,18 +210,49 @@ def test_processes_trace_has_proc_worker_lanes(procs_session):
     assert {"STEDC", "LAED4", "PermuteV"} <= names
 
 
-def test_processes_flight_recorder_and_metrics(procs_session):
+def test_processes_kernel_metrics_sum_to_tasks():
+    # A fresh session, so it has seen only successful solves: the
+    # per-kernel task counters sum to the session's task counter.
+    import re
+
+    from repro.obs import live_metrics_text
+
     d, e = _problem()
-    before = procs_session.flight.occupancy()["recorded"]
-    procs_session.solve(d, e)
-    occ = procs_session.flight.occupancy()
-    assert occ["recorded"] > before
-    kinds = {ev["kind"] for ev in procs_session.flight.snapshot()}
-    assert "task" in kinds
-    snap = procs_session.metrics.to_dict()
-    assert snap["solves"] >= 1
-    stats = procs_session.stats()
-    assert stats["backend"] == "processes"
+    with SolverSession(backend="processes", n_workers=2) as s:
+        res = s.solve(d, e, full_result=True)
+        s.solve(d, e)
+        text = live_metrics_text(s)
+        kernels = s.metrics.kernel_stats()
+        assert s.stats()["backend"] == "processes"
+    total = int(re.search(r"^repro_session_tasks_total (\d+)", text,
+                          re.M).group(1))
+    per_kernel = re.findall(
+        r'^repro_session_kernel_tasks_total\{kernel="\w+"\} (\d+)', text,
+        re.M)
+    assert sum(map(int, per_kernel)) == total == 2 * len(res.graph.tasks)
+    assert {k: v["tasks"] for k, v in kernels.items()} \
+        == {k: 2 * n for k, n in res.trace.kernel_counts().items()}
+
+
+def test_processes_postmortem_replays_own_run(procs_session, tmp_path):
+    d, e = _problem(seed=4)
+    spec = FaultSpec(kernel="LAED4", nth=2)
+    with pytest.raises(TaskFailure) as ei:
+        procs_session.solve(d, e, options=DCOptions(
+            reuse_graph=True, fault_injection=spec,
+            postmortem_dir=str(tmp_path)))
+    partial = ei.value.trace
+    assert partial.worker_names == ["proc-worker-0", "proc-worker-1"]
+    (bundle,) = sorted(tmp_path.glob("postmortem-*.jsonl"))
+    lines = [json.loads(ln) for ln in bundle.read_text().splitlines()]
+    head, events = lines[0], lines[1:]
+    assert head["version"] == 3
+    # The bundle's task lines are exactly this run's completed tasks.
+    assert sorted((ev["name"], ev["task_seq"], ev["worker"])
+                  for ev in events if ev["kind"] == "task") \
+        == sorted((ev.name, ev.seq, ev.worker) for ev in partial.events)
+    (fail,) = [ev for ev in events if ev["kind"] == "task.fail"]
+    assert fail["task_seq"] == ei.value.seq and fail["name"] == "LAED4"
 
 
 def test_processes_telemetry_counters(procs_session):
@@ -239,6 +271,4 @@ def test_processes_pool_introspection(procs_session):
     assert pool.n_workers == 2
     assert pool.workers_alive == 2
     assert not pool.closed
-    assert isinstance(pool.queue_depths(), list)
-    assert len(pool.current_tasks()) == 2
     assert 0 <= pool.parked <= 2

@@ -1,163 +1,86 @@
-"""Task-attributed sampling profiler (repro/obs/profile)."""
+"""Kernel attribution from the run's trace: collapsed stacks
+(repro.obs.export.collapsed_stacks) and the exact per-kernel session
+totals folded from every solve's trace."""
 
 import re
-
-import numpy as np
-import pytest
 
 from repro.core import DCOptions
 from repro.core.session import SolverSession
 from repro.matrices import test_matrix as table3_matrix
-from repro.obs import SamplingProfiler, SessionMetrics, telemetry_summary
+from repro.obs import SessionMetrics, collapsed_stacks, telemetry_summary
+from repro.runtime.trace import Trace, TraceEvent
 
 
-class _FakeTask:
-    def __init__(self, name, tag=None):
-        self.name, self.tag = name, tag
-
-
-class _FakeSource:
-    """Scriptable stand-in for a scheduler's current-task slots."""
-
-    def __init__(self, frames, depths=None):
-        self.frames = list(frames)
-        self.depths = depths
-        self.i = 0
-
-    def current_tasks(self):
-        frame = self.frames[min(self.i, len(self.frames) - 1)]
-        self.i += 1
-        return frame
-
-    def queue_depths(self):
-        if self.depths is None:
-            raise AttributeError
-        return self.depths
-
-
-# ---------------------------------------------------------------------------
-# Deterministic sampling over a scripted source
-# ---------------------------------------------------------------------------
-
-def test_sample_once_counts_and_attribution():
-    laed4 = _FakeTask("LAED4", (0, 100))
-    stedc = _FakeTask("STEDC")
-    src = _FakeSource([[laed4, None], [laed4, stedc], [None, None]])
-    p = SamplingProfiler(src, interval_s=0.001)
-    for _ in range(3):
-        p.sample_once()
-    assert p.n_ticks == 3
-    assert p.n_samples == 6
-    assert p.idle_samples == 3
-    assert p.busy_samples == 3
-    assert p.kernel_counts() == {"LAED4": 2, "STEDC": 1}
-    assert p.attributed_fraction == 1.0
-
-
-def test_attributed_fraction_none_until_sampled():
-    p = SamplingProfiler(_FakeSource([[None]]), interval_s=0.001)
-    assert p.attributed_fraction is None
-    p.sample_once()
-    assert p.attributed_fraction is None        # only idle samples so far
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        SamplingProfiler(_FakeSource([[]]), interval_s=0.0)
-
-
-def test_queue_depth_feeds_metrics():
-    m = SessionMetrics()
-    src = _FakeSource([[None, None]], depths=[3, 2])
-    p = SamplingProfiler(src, interval_s=0.001, metrics=m)
-    p.sample_once()
-    st = m.digest_stats()["queue_depth"]
-    assert st["count"] == 1 and st["min"] == 5.0
+def _trace(*tasks):
+    """A one-worker trace of back-to-back ``(name, tag, seconds)`` tasks."""
+    trace = Trace(n_workers=1)
+    t = 0.0
+    for seq, (name, tag, dur) in enumerate(tasks):
+        trace.record(TraceEvent(seq, name, 0, t, t + dur, tag, seq=seq))
+        t += dur
+    return trace
 
 
 def test_collapsed_stack_levels():
     # Root merge (0, 8) contains (0, 4) contains (0, 2): levels 0/1/2.
-    frames = [
-        [_FakeTask("UpdateVect", (0, 8))],
-        [_FakeTask("UpdateVect", (0, 8))],
-        [_FakeTask("LAED4", (0, 4))],
-        [_FakeTask("PermuteV", (0, 2))],
-        [_FakeTask("STEDC")],
-    ]
-    p = SamplingProfiler(_FakeSource(frames), interval_s=0.001)
-    for _ in range(len(frames)):
-        p.sample_once()
-    text = p.collapsed()
+    trace = _trace(("UpdateVect", (0, 8), 2e-6),
+                   ("UpdateVect", (0, 8), 3e-6),
+                   ("LAED4", (0, 4), 1e-6),
+                   ("PermuteV", (0, 2), 4e-6),
+                   ("STEDC", (0, 2), 5e-6))
+    text = collapsed_stacks(trace)
     assert text.endswith("\n")
     lines = text.splitlines()
-    assert "solve;level0;merge[0:8];UpdateVect 2" in lines
+    # Weights are microseconds of exact task time.
+    assert "solve;level0;merge[0:8];UpdateVect 5" in lines
     assert "solve;level1;merge[0:4];LAED4 1" in lines
-    assert "solve;level2;merge[0:2];PermuteV 1" in lines
-    assert "solve;STEDC 1" in lines
+    assert "solve;level2;merge[0:2];PermuteV 4" in lines
+    # Leaf tasks carry a (lo, hi) tag too, but only merge kernels get
+    # merge frames (the same rule as the Chrome-trace merge hierarchy).
+    assert "solve;STEDC 5" in lines
     assert lines == sorted(lines)
-    # Every line is flamegraph-collapsible: "frame;frame;... count".
+    # Every line is flamegraph-collapsible: "frame;frame;... weight".
     for line in lines:
         assert re.match(r"^solve(;[^; ]+)* \d+$", line)
 
 
 def test_summary_outputs():
-    frames = [[_FakeTask("LAED4", (0, 10)), _FakeTask("STEDC")]]
-    p = SamplingProfiler(_FakeSource(frames), interval_s=0.002)
-    p.sample_once()
-    d = p.summary_dict()
-    assert d["ticks"] == 1 and d["samples"] == 2
-    assert d["kernels"] == {"LAED4": 1, "STEDC": 1}
-    assert d["attributed_fraction"] == 1.0
-    text = p.summary()
-    assert "sampling profile" in text and "LAED4" in text
-    # telemetry_summary appends the profile section even with no
-    # collector attached.
-    assert "sampling profile" in telemetry_summary(None, profile=p)
+    # The per-kernel views of one trace: the human table of
+    # Trace.summary (which telemetry_summary prints) and the session's
+    # kernel_stats dict (the /debug/state "kernels" block).
+    trace = _trace(("LAED4", (0, 10), 3e-3), ("LAED4", (0, 10), 1e-3),
+                   ("STEDC", (0, 5), 2e-3))
+    text = telemetry_summary(None, trace)
+    assert "per-kernel time:" in text
+    assert re.search(r"^  LAED4 .* x2$", text, re.M)
+    assert re.search(r"^  STEDC .* x1$", text, re.M)
+    m = SessionMetrics()
+    m.note_solve(0.01, n_tasks=len(trace.events), trace=trace)
+    stats = m.kernel_stats()
+    assert list(stats) == ["LAED4", "STEDC"]
+    assert stats["LAED4"]["tasks"] == 2 and stats["STEDC"]["tasks"] == 1
+    assert stats["LAED4"]["seconds"] == trace.kernel_times()["LAED4"]
+    assert m.tasks == sum(v["tasks"] for v in stats.values())
 
 
-def test_start_stop_idempotent():
-    p = SamplingProfiler(_FakeSource([[None]]), interval_s=0.001)
-    with p as running:
-        assert running is p and p.running
-        assert p.start() is p                   # second start is a no-op
-    assert not p.running
-    p.stop()                                    # idempotent
-
-
-def test_dying_source_is_survivable():
-    class Dying:
-        def current_tasks(self):
-            raise RuntimeError("pool shut down")
-
-    p = SamplingProfiler(Dying(), interval_s=0.001)
-    p.sample_once()                             # must not raise
-    assert p.n_ticks == 0
-
-
-# ---------------------------------------------------------------------------
-# Live attribution on a real solve (acceptance gate)
-# ---------------------------------------------------------------------------
-
-def test_profiler_attributes_samples_on_real_solve():
-    d, e = table3_matrix(4, 2500, seed=0)
+def test_trace_attributes_kernels_on_real_solve():
+    n = 1200
+    d, e = table3_matrix(4, n, seed=0)
     with SolverSession(backend="threads", n_workers=4,
-                       options=DCOptions(minpart=64),
-                       profile_interval_s=0.001) as s:
-        lam, V = s.solve(d, e)
-        prof = s.profiler
-        assert prof is not None and prof.running
-        assert np.all(np.diff(lam) >= 0) and V.shape == (2500, 2500)
-    assert not prof.running                     # close() stopped it
-    assert prof.busy_samples > 0
-    # Acceptance: >= 90% of busy samples attribute to a named kernel.
-    assert prof.attributed_fraction >= 0.90
-    counts = prof.kernel_counts()
-    assert counts and all(cnt > 0 for cnt in counts.values())
-    # The heavy merge kernels dominate a n=2500 solve.
-    assert set(counts) & {"LAED4", "UpdateVect", "ComputeVect", "STEDC",
-                          "PermuteV", "ApplyGivens", "CopyBackDeflated",
-                          "ComputeLocalW", "ReduceW", "Compute_deflation"}
-    text = prof.collapsed()
-    assert re.search(r"^solve;level0;merge\[0:2500\];\w+ \d+$", text, re.M)
-    # Queue-depth samples landed in the session digest.
-    assert "queue_depth" in s.metrics.digest_stats()
+                       options=DCOptions(minpart=64)) as s:
+        res = s.solve(d, e, full_result=True)
+        kernels = s.metrics.kernel_stats()
+    trace = res.trace
+    # Exact attribution: every task of the solve lands in its kernel's
+    # totals, with its measured duration — no sampling.
+    assert sum(v["tasks"] for v in kernels.values()) \
+        == len(trace.events) == len(res.graph.tasks)
+    assert {name: v["seconds"] for name, v in kernels.items()} \
+        == trace.kernel_times()
+    assert {"LAED4", "UpdateVect", "ComputeVect", "STEDC"} <= set(kernels)
+    text = collapsed_stacks(trace)
+    assert re.search(rf"^solve;level0;merge\[0:{n}\];\w+ \d+$", text, re.M)
+    # The stacks' weights add up to the trace's busy time (each line is
+    # rounded to a whole microsecond).
+    weights = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()]
+    assert abs(sum(weights) - trace.busy_time * 1e6) <= len(weights)

@@ -419,3 +419,92 @@ def test_fuse_preserves_results():
         lam, V = ctx.result()
         np.testing.assert_array_equal(lam0, lam)
         np.testing.assert_array_equal(V0, V)
+
+
+# ---------------------------------------------------------------------------
+# Concurrent clients, faults and close() under load
+# ---------------------------------------------------------------------------
+
+def test_concurrent_clients_with_faults_and_close_under_load(tmp_path):
+    """Four client threads submit six problems each to one threads
+    session, with a fault injected on about half, while the session is
+    closed under load.  Every handle resolves within an explicit
+    timeout, the clients join, the workspace arena lends nothing out
+    afterwards, and each failed solve's post-mortem bundle replays only
+    its own run's events.  Explicit timeouts throughout: a hang fails
+    the test instead of wedging the suite."""
+    import json
+
+    from repro.errors import ReproError
+
+    d, e = _problem(n=200, seed=11)
+    s = SolverSession(backend="threads", n_workers=2,
+                      options=DCOptions(minpart=32))
+    ref = s.solve(d, e, full_result=True)
+    n_tasks = len(ref.graph.tasks)
+    handles = []            # (handle, faulted task seq or None)
+    rejected = []
+    lock = threading.Lock()
+    loaded = threading.Event()
+
+    def client(c):
+        for k in range(6):
+            i = 6 * c + k
+            opts = DCOptions(minpart=32, postmortem_dir=str(tmp_path))
+            seq = None
+            if i % 2 == 0:
+                # A distinct faulted task per solve names its bundle.
+                seq = 1 + (i // 2) * (n_tasks - 2) // 12
+                opts = opts.with_(fault_injection=FaultSpec(task_seq=seq))
+            try:
+                h = s.submit(d, e, options=opts)
+            except SchedulerError:
+                rejected.append(i)          # submitted after close()
+                continue
+            with lock:
+                handles.append((h, seq))
+                if len(handles) >= 12:          # half the load is in
+                    loaded.set()
+
+    clients = [threading.Thread(target=client, args=(c,), daemon=True)
+               for c in range(4)]
+    for th in clients:
+        th.start()
+    assert loaded.wait(30.0)
+    closer = threading.Thread(target=s.close, daemon=True)
+    closer.start()
+    for th in clients:
+        th.join(timeout=60.0)
+    closer.join(timeout=60.0)
+    assert not any(th.is_alive() for th in clients), "a client hung"
+    assert not closer.is_alive(), "close() hung"
+    assert len(handles) + len(rejected) == 24
+
+    failures = {}
+    for h, seq in handles:
+        try:
+            lam, V = h.result(timeout=60.0)
+        except ReproError as exc:
+            assert h.done(), "a handle did not resolve within its timeout"
+            assert isinstance(exc, TaskFailure) and exc.seq == seq
+            failures[seq] = exc
+        else:
+            assert seq is None
+            np.testing.assert_array_equal(lam, ref.lam)
+            np.testing.assert_array_equal(V, ref.V)
+    assert failures and len(failures) < len(handles)
+    ws = s.stats()["workspace"]
+    assert ws["owned_bytes"] == ws["free_bytes"]
+
+    bundles = sorted(tmp_path.glob("postmortem-*.jsonl"))
+    assert len(bundles) == len(failures)
+    for path in bundles:
+        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+        head, events = lines[0], lines[1:]
+        exc = failures[head["error"]["task"]["seq"]]
+        assert [(ev["name"], ev["task_seq"], ev["worker"], ev["t0"],
+                 ev["t1"]) for ev in events if ev["kind"] == "task"] \
+            == [(ev.name, ev.seq, ev.worker, ev.t_start, ev.t_end)
+                for ev in sorted(exc.trace.events,
+                                 key=lambda ev: (ev.t_start, ev.t_end,
+                                                 ev.seq))]
