@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import (deflate, eigenvector_columns, local_w_product,
-                           reduce_w, solve_secular, steqr)
+                           reduce_w, solve_secular, steqr, steqr_rows)
 from repro.mrrr import bisect_eigenvalues, getvec_batch, ldl_factor
 
 
@@ -73,6 +73,17 @@ def test_bench_steqr_leaf(benchmark):
     e = rng.normal(size=63)
     lam, V = benchmark(steqr, d, e)
     assert lam.shape == (64,)
+
+
+def test_bench_steqr_rows_leaf(benchmark):
+    """jobz='N' leaf: eigenvalues plus V's first and last rows, at the
+    leaf size of the ledger's n=2000 solves (minpart 64: leaves of 62
+    and 63)."""
+    rng = np.random.default_rng(2)
+    d = rng.normal(size=62)
+    e = rng.normal(size=61)
+    lam, rows = benchmark(steqr_rows, d, e)
+    assert lam.shape == (62,) and rows.shape == (2, 62)
 
 
 def test_bench_sturm_bisection(benchmark):

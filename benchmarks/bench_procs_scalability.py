@@ -67,7 +67,8 @@ BASELINE = os.path.join(REPO_ROOT, "BENCH_procs.json")
 
 #: Kernels that execute Python bytecode (secular iterations, deflation
 #: bookkeeping) or small slice math under the GIL on the threads
-#: backend.  STEDC / UpdateVect GEMMs release the GIL and are excluded.
+#: backend.  Only the UpdateVect GEMM releases the GIL.  STEDC (the
+#: pure-Python tql2 leaf solve) holds it but is left out of this set.
 GIL_KERNELS = frozenset({"LAED4", "PermuteV", "Compute_deflation",
                          "CopyBackDeflated", "ComputeVect", "ApplyGivens"})
 

@@ -5,7 +5,9 @@ Module            LAPACK analogue             Role in the D&C solver
 ================  ==========================  ===========================
 ``scaling``       DLANST / DLASCL             Scale T / Scale back tasks
 ``givens``        DLARTG / DROT               rotations (deflation, QR)
-``steqr``         DSTEQR (EISPACK tql2)       leaf ``STEDC`` tasks
+``steqr``         DSTEQR (EISPACK tql2)       leaf ``STEDC`` tasks (full V;
+                                              ``steqr_rows``: boundary
+                                              rows only, ``jobz='N'``)
 ``secular``       DLAED4                      per-panel ``LAED4`` tasks
 ``deflation``     DLAED2                      ``Compute_deflation`` task
 ``stabilize``     DLAED3/DLAED9               ``ComputeLocalW``/``ReduceW``
@@ -16,7 +18,7 @@ Module            LAPACK analogue             Role in the D&C solver
 
 from .scaling import lanst, scale_tridiagonal, ScaleInfo
 from .givens import lartg, rot, lapy2
-from .steqr import steqr, sterf
+from .steqr import steqr, steqr_rows, sterf
 from .secular import (SecularRoots, solve_secular, secular_function,
                       delta_matrix, eigenvalues_from_roots)
 from .deflation import DeflationResult, GivensRotation, deflate, rotation_chains
@@ -31,7 +33,7 @@ from .band import (dense_to_band, band_to_tridiagonal,
 __all__ = [
     "lanst", "scale_tridiagonal", "ScaleInfo",
     "lartg", "rot", "lapy2",
-    "steqr", "sterf",
+    "steqr", "steqr_rows", "sterf",
     "SecularRoots", "solve_secular", "secular_function", "delta_matrix",
     "eigenvalues_from_roots",
     "DeflationResult", "GivensRotation", "deflate", "rotation_chains",
