@@ -51,11 +51,13 @@ import os
 import pickle
 import queue
 import signal
+import socket
 import threading
 import time
 import multiprocessing as mp
 from collections import OrderedDict
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_conns
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -72,8 +74,9 @@ ProcRun = EngineRun
 
 #: Tasks dispatched ahead to each worker so the pipe hides latency.
 _PREFETCH = 2
-#: Bound on the child -> parent event queue (backpressure, not loss).
-_RESULT_QUEUE_CAP = 1024
+#: Messages handled from one worker before the dispatcher looks again
+#: at submissions, crashes and the ready queue.
+_DRAIN_BATCH = 256
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -322,7 +325,9 @@ def _proc_worker_main(wid: int, conn, results) -> None:
       ``("end", rid)``              drop the replica
       ``("stop",)``                 exit
 
-    Child -> parent over one bounded queue:
+    Child -> parent over the worker's own one-way pipe (a queue shared
+    by all workers has one write lock; a worker killed while holding it
+    would block every other worker for good):
       ``("ready", wid)`` / ``("done", wid, rid, seq, t0, t1, delta)`` /
       ``("fail", wid, rid, seq, exc)`` /
       ``("bounce", wid, rid, seq)`` (task for an unknown run) /
@@ -334,7 +339,7 @@ def _proc_worker_main(wid: int, conn, results) -> None:
         pass
     segs = _SegCache()
     runs: dict[int, Optional[dict]] = {}
-    results.put(("ready", wid))
+    results.send(("ready", wid))
     while True:
         try:
             msg = conn.recv()
@@ -346,12 +351,12 @@ def _proc_worker_main(wid: int, conn, results) -> None:
             entry = runs.get(rid)
             if entry is None:
                 if rid in runs:              # poisoned replica
-                    results.put(("fail", wid, rid, seq,
-                                 _encode_exc(RuntimeError(
-                                     "replica state unavailable on this "
-                                     "worker"))))
+                    results.send(("fail", wid, rid, seq,
+                                  _encode_exc(RuntimeError(
+                                      "replica state unavailable on this "
+                                      "worker"))))
                 else:
-                    results.put(("bounce", wid, rid, seq))
+                    results.send(("bounce", wid, rid, seq))
                 continue
             task = entry["graph"].tasks[seq]
             t0 = time.perf_counter()
@@ -359,11 +364,11 @@ def _proc_worker_main(wid: int, conn, results) -> None:
                 task.run()
                 delta = _extract_delta(task, segs)
             except BaseException as exc:
-                results.put(("fail", wid, rid, seq, _encode_exc(exc)))
+                results.send(("fail", wid, rid, seq, _encode_exc(exc)))
                 continue
             t1 = time.perf_counter()
             task.mark_done()
-            results.put(("done", wid, rid, seq, t0, t1, delta))
+            results.send(("done", wid, rid, seq, t0, t1, delta))
         elif kind == "delta":
             _, rid, seq, blob = msg
             entry = runs.get(rid)
@@ -383,7 +388,7 @@ def _proc_worker_main(wid: int, conn, results) -> None:
                 runs[rid] = _child_begin(payload, segs)
             except BaseException as exc:
                 runs[rid] = None
-                results.put(("beginfail", wid, rid, _encode_exc(exc)))
+                results.send(("beginfail", wid, rid, _encode_exc(exc)))
         elif kind == "end":
             runs.pop(msg[1], None)
         elif kind == "stop":
@@ -401,14 +406,15 @@ def _proc_worker_main(wid: int, conn, results) -> None:
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = ("wid", "epoch", "proc", "send", "outq", "sender", "alive",
-                 "load")
+    __slots__ = ("wid", "epoch", "proc", "send", "results", "outq",
+                 "sender", "alive", "load")
 
-    def __init__(self, wid: int, epoch: int, proc, send):
+    def __init__(self, wid: int, epoch: int, proc, send, results):
         self.wid = wid
         self.epoch = epoch
         self.proc = proc
         self.send = send
+        self.results = results                # None once at EOF
         self.outq: queue.SimpleQueue = queue.SimpleQueue()
         self.alive = True
         self.load = 0                         # tasks dispatched, not done
@@ -447,7 +453,11 @@ class ProcPool:
         self._worker_names = [f"proc-worker-{w}"
                               for w in range(self.n_workers)]
         self._mp = mp.get_context("spawn")
-        self._results = self._mp.Queue(maxsize=_RESULT_QUEUE_CAP)
+        # Byte socket that wakes the dispatcher out of its wait on the
+        # workers' result pipes.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._submits: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._order = 0
@@ -466,6 +476,7 @@ class ProcPool:
     # -- lifecycle -------------------------------------------------------
     def _spawn(self, wid: int) -> _Worker:
         recv, send = self._mp.Pipe(duplex=False)
+        results, child_results = self._mp.Pipe(duplex=False)
         # Children must not oversubscribe: each runs single-threaded
         # BLAS unless the user pinned the knobs explicitly.  The env is
         # only mutated around the spawn and restored right after.
@@ -474,14 +485,16 @@ class ProcPool:
             os.environ[v] = "1"
         try:
             proc = self._mp.Process(target=_proc_worker_main,
-                                    args=(wid, recv, self._results),
+                                    args=(wid, recv, child_results),
                                     name=f"proc-worker-{wid}", daemon=True)
             proc.start()
         finally:
             for v in added:
                 os.environ.pop(v, None)
+        # Only the child may hold the write end: its death is then EOF.
         recv.close()
-        return _Worker(wid, next(self._epochs), proc, send)
+        child_results.close()
+        return _Worker(wid, next(self._epochs), proc, send, results)
 
     def shutdown(self) -> None:
         """Stop the dispatcher, the workers, and fail stranded runs."""
@@ -501,8 +514,10 @@ class ProcPool:
                 w.send.close()
             except OSError:                  # pragma: no cover
                 pass
-        self._results.close()
-        self._results.cancel_join_thread()
+            if w.results is not None:
+                w.results.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "ProcPool":
         return self
@@ -535,8 +550,8 @@ class ProcPool:
 
     def _wake(self) -> None:
         try:
-            self._results.put_nowait(("wake",))
-        except queue.Full:                   # dispatcher is awake anyway
+            self._wake_w.send(b"\0")
+        except OSError:                      # full: dispatcher is awake anyway
             pass
 
     # -- dispatcher ------------------------------------------------------
@@ -556,18 +571,34 @@ class ProcPool:
                 break
             self._check_workers()
             self._dispatch_ready()
-            try:
-                msg = self._results.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            self._handle(msg)
-            for _ in range(256):
-                try:
-                    msg = self._results.get_nowait()
-                except queue.Empty:
-                    break
-                self._handle(msg)
+            by_conn = {w.results: w for w in self._workers
+                       if w.results is not None}
+            for conn in wait_conns([self._wake_r, *by_conn], timeout=0.05):
+                if conn is self._wake_r:
+                    try:
+                        while self._wake_r.recv(4096):
+                            pass
+                    except OSError:
+                        pass
+                else:
+                    self._drain(by_conn[conn], _DRAIN_BATCH)
         self._teardown()
+
+    def _drain(self, w: _Worker, limit: Optional[int] = None) -> None:
+        """Handle up to ``limit`` messages already in ``w``'s pipe."""
+        conn = w.results
+        if conn is None:
+            return
+        n = 0
+        try:
+            while conn.poll() and (limit is None or n < limit):
+                self._handle(conn.recv())
+                n += 1
+        except (EOFError, OSError):
+            # The worker exited, perhaps mid-message: nothing more will
+            # arrive.  _check_workers writes off its unfinished tasks.
+            conn.close()
+            w.results = None
 
     def _teardown(self) -> None:
         for run in list(self._active.values()):
@@ -669,7 +700,7 @@ class ProcPool:
             self._on_bounce(*msg[1:])
         elif kind == "beginfail":
             self._on_begin_fail(*msg[1:])
-        # "ready" / "wake": nothing to do.
+        # "ready": nothing to do.
 
     def _credit_worker(self, wid: int, epoch: int) -> None:
         w = self._workers[wid]
@@ -797,6 +828,8 @@ class ProcPool:
                 continue
             w.alive = False
             w.outq.put(None)                  # stop the sender thread
+            # Count what it finished before dying; the rest is lost.
+            self._drain(w)
             exitcode = w.proc.exitcode
             for run in list(self._active.values()):
                 run.eligible.discard(w.wid)
