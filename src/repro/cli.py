@@ -27,7 +27,7 @@ import numpy as np
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .core.session import BACKENDS
+    from .runtime.quark import QUARK_BACKENDS
 
     p = argparse.ArgumentParser(
         prog="repro-eig",
@@ -42,10 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--solver", default="dc",
                    choices=["dc", "mrrr", "qr", "bi", "lapack-dc"],
                    help="eigensolver")
-    s.add_argument("--backend", default="sequential", choices=BACKENDS,
+    s.add_argument("--backend", default="sequential", choices=QUARK_BACKENDS,
                    help="runtime backend (dc solvers only)")
     s.add_argument("--workers", type=int, default=None,
-                   help="worker threads / processes / virtual cores")
+                   help="worker threads / virtual cores")
     s.add_argument("--subset", default=None, metavar="I0:I1",
                    help="eigenpair index range, e.g. 0:10 "
                         "(dc and mrrr solvers)")
@@ -85,10 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--size", type=int, default=None,
                    help="matrix size (alias of --n)")
     t.add_argument("--cores", type=int, default=16)
-    t.add_argument("--backend", default="simulated", choices=BACKENDS,
+    t.add_argument("--backend", default="simulated", choices=QUARK_BACKENDS,
                    help="runtime backend to trace (threads exposes the "
-                        "work-stealing counters; processes shows "
-                        "proc-worker lanes)")
+                        "work-stealing counters)")
     t.add_argument("--config", default="full-taskflow",
                    choices=["sequential", "parallel-gemm", "parallel-merge",
                             "full-taskflow"],
@@ -111,10 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--port", type=int, default=9100,
                    help="HTTP port (0 = ephemeral; printed on startup)")
     q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--backend", default="threads", choices=BACKENDS)
+    q.add_argument("--backend", default="threads", choices=QUARK_BACKENDS)
     q.add_argument("--workers", type=int, default=None,
-                   help="worker threads / processes (default: one per "
-                        "core)")
+                   help="worker threads (default: one per core)")
     q.add_argument("--duration", type=float, default=0.0,
                    help="seconds to serve before exiting "
                         "(0 = until interrupted)")

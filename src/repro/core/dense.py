@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ..kernels.householder import apply_q_inplace, tridiagonalize
-from ..runtime.quark import Quark
+from ..runtime.quark import Quark, validate_backend
 from ..runtime.task import DataHandle, GATHERV, TaskCost
 from .merge import panel_ranges
 from .options import DCOptions
@@ -31,13 +31,15 @@ def eigh(a: np.ndarray, *, options: Optional[DCOptions] = None,
     ascending.  The tridiagonal stage uses the task-flow D&C solver; the
     back-transformation (Eq. 3, "relies on matrix products and is
     already efficient") runs as independent column-panel tasks on the
-    same runtime backend (on threads when ``backend="processes"``).
+    same runtime backend.  An unknown ``backend`` raises
+    :class:`~repro.errors.InputError` before the reduction starts.
 
     ``two_stage=True`` reduces via the PLASMA-style two-stage pipeline
     (dense → band of the given ``bandwidth`` → tridiagonal by bulge
     chasing, paper ref. [3]) instead of the direct Householder
     reduction; numerically equivalent, different kernel mix.
     """
+    validate_backend(backend)
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if n == 0:
@@ -56,11 +58,8 @@ def eigh(a: np.ndarray, *, options: Optional[DCOptions] = None,
                       n_workers=n_workers)
     # Task-flow back-transformation: reflectors act on rows, so column
     # panels transform independently (GATHERV on the output matrix).
-    # The panels are closures over ``out``, which only in-process
-    # backends can run, so a process-backed solve applies Q on threads.
     out = np.array(vt, copy=True, order="F")
-    quark = Quark("threads" if backend == "processes" else backend,
-                  n_workers=n_workers)
+    quark = Quark(backend, n_workers=n_workers)
     hV = DataHandle("V-back")
     for (p0, p1) in panel_ranges(n, opts.effective_nb(n)):
         quark.insert_task(

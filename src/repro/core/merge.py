@@ -78,8 +78,7 @@ class DCContext:
     """Shared state of one D&C solve."""
 
     def __init__(self, d: np.ndarray, e: np.ndarray, opts: DCOptions,
-                 subset: np.ndarray | None = None, workspace=None,
-                 buffers: Optional[dict] = None):
+                 subset: np.ndarray | None = None, workspace=None):
         d = np.asarray(d, dtype=np.float64)
         e = np.asarray(e, dtype=np.float64)
         n = d.shape[0]
@@ -132,42 +131,20 @@ class DCContext:
         # before PermuteStrip reads it, and PermuteStrip writes
         # Pws[:, lo:hi] before UpdateStrip reads it.
         self.workspace = workspace
-        self._d_pooled = False
         jobz_v = opts.jobz == "V"
-        if buffers is not None:
-            # Process-backend replica: the buffers are externally managed
-            # views of shared-memory segments owned by the parent pool.
-            self.D = buffers["D"]
-            self.V = buffers.get("V")
-            self.Vws = buffers.get("Vws")
-            self.S = buffers["S"]
-            self.P = buffers["P"]
-            self.Pws = buffers["Pws"]
-        elif workspace is not None:
-            # A shared (process-backend) pool must also serve D so child
-            # processes see eigenvalue writes; dirty reuse is exact for
-            # the same reason as V/Vws (leaves write all of D[0:n) before
-            # any read).
-            if getattr(workspace, "shared", False):
-                self.D = workspace.take((n,))
-                self._d_pooled = True
-            else:
-                self.D = np.zeros(n)
+        self.D = np.zeros(n)
+        if workspace is not None:
             self.V = workspace.take((n, n)) if jobz_v else None
             self.Vws = workspace.take((n, n)) if jobz_v else None
             self.S = workspace.take((2, n))
             self.P = workspace.take((2, n))
             self.Pws = workspace.take((2, n))
         else:
-            self.D = np.zeros(n)
             self.V = np.zeros((n, n), order="F") if jobz_v else None
             self.Vws = np.zeros((n, n), order="F") if jobz_v else None
             self.S = np.zeros((2, n), order="F")
             self.P = np.zeros((2, n), order="F")
             self.Pws = np.zeros((2, n), order="F")
-        # Process backend: child replicas defer the secular-failure
-        # STEQR fallback to the parent dispatcher (exclusive access).
-        self._defer_fallback = False
         # Final ordering (SortEigenvectors / ScaleBack).
         self.order: Optional[np.ndarray] = None
         self.D_sorted: Optional[np.ndarray] = None
@@ -270,10 +247,6 @@ class DCContext:
         if self.V is not None:
             ws.release(self.V)
             self.V = None
-        if self._d_pooled:
-            ws.release(self.D)
-            self.D = None
-            self._d_pooled = False
         if self.Vws is None:
             pass                        # jobz='N': nothing to hand out
         elif keep_result:
@@ -360,15 +333,11 @@ class MergeState:
 
         The last writer sees the final value of ``secular_failed`` (all
         detection sites are ordered before it by the DAG) and performs
-        the STEQR fallback with exclusive access to the block.  Process
-        backend: child replicas only ever see a *partial* countdown (the
-        writers are spread across workers), so they defer; the parent
-        dispatcher, which observes every completion, drives its own
-        replica's countdown and applies the fallback there."""
+        the STEQR fallback with exclusive access to the block."""
         with self._flock:
             self._writers_left -= 1
             last = self._writers_left == 0
-        if last and self.secular_failed and not self.ctx._defer_fallback:
+        if last and self.secular_failed:
             self._apply_fallback()
 
     def _apply_fallback(self) -> None:
@@ -828,17 +797,3 @@ class MergeState:
     def strip_rotations(self) -> int:
         """Rotation count for the GivensStrip cost model."""
         return sum(len(c) for c in self.chains)
-
-
-# Engine parent-side epilogue tags (see repro.runtime.engine
-# .parent_epilogue): the process backend runs `_writer_done()` on the
-# *parent's* replica after each eigenvector writer completes on a worker
-# — the last writer of a secular-failed merge performs the STEQR
-# fallback with exclusive access to the shared arrays.  The tag lives on
-# the function object, so it survives graph-template instantiation and
-# bound-method extraction on any replica.
-for _writer in (MergeState.t_copyback_panel, MergeState.t_update_vect_panel,
-                MergeState.t_strip_update_panel,
-                MergeState.t_update_eig_panel):
-    _writer._parent_epilogue = "_writer_done"
-del _writer

@@ -47,10 +47,9 @@ def taskflow_tridiagonalize(a: np.ndarray, *,
     (same contract as the sequential kernel: ``apply_q``/``q()`` work on
     it), or ``(tri, trace, graph)`` when ``full_result=True``.
 
-    ``backend`` is one of :data:`~repro.runtime.quark.QUARK_BACKENDS`.
-    The tasks are closures over the working matrix, so
-    ``backend="processes"`` raises :class:`~repro.errors.InputError`
-    before any task runs.
+    ``backend`` is one of :data:`~repro.runtime.quark.QUARK_BACKENDS`;
+    any other name raises :class:`~repro.errors.InputError` before any
+    task runs.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]

@@ -26,8 +26,6 @@ valid, and every recycled buffer location is written before it is read).
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -35,14 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import (InputError, ReproError, SchedulerError,
-                      validate_subset, validate_tridiagonal)
+from ..errors import (ReproError, SchedulerError, validate_subset,
+                      validate_tridiagonal)
 from ..obs.live import (SessionMetrics, resolve_postmortem_dir,
                         write_postmortem)
 from ..obs.recorder import NULL_RECORDER
 from ..runtime.dag import TaskGraph
 from ..runtime.faults import FaultInjector
-from ..runtime.quark import Quark
+from ..runtime.quark import Quark, validate_backend
 from ..runtime.scheduler import WorkerPool, default_thread_workers
 from ..runtime.simulator import Machine
 from .graph_cache import graph_template_cache, template_key
@@ -51,11 +49,7 @@ from .options import DCOptions
 from .tasks import DCGraphInfo, submit_dc
 from .tree import build_tree
 
-__all__ = ["SolverSession", "SolveHandle", "WorkspacePool",
-           "SharedWorkspacePool", "BACKENDS"]
-
-#: Execution backends a session (and so ``dc_eigh``) accepts.
-BACKENDS = ("sequential", "threads", "processes", "simulated")
+__all__ = ["SolverSession", "SolveHandle", "WorkspacePool"]
 
 
 class WorkspacePool:
@@ -79,15 +73,7 @@ class WorkspacePool:
     ``high_water_bytes`` tracks the peak bytes owned by the arena
     (free + lent out) and feeds the existing
     ``workspace.high_water_bytes`` telemetry gauge.
-
-    Allocation and disposal go through the ``_alloc``/``_discard``
-    hooks so :class:`SharedWorkspacePool` can back the same arena with
-    named shared-memory segments for the processes backend.
     """
-
-    #: True when buffers live in shared-memory segments visible to
-    #: child processes (overridden by :class:`SharedWorkspacePool`).
-    shared = False
 
     def __init__(self, max_free_per_shape: int = 8,
                  max_free_bytes: int = 256 * 2 ** 20, recorder=None):
@@ -131,15 +117,7 @@ class WorkspacePool:
                 rec.add("workspace_pool.misses")
                 rec.gauge_max("workspace.high_water_bytes",
                               self.high_water_bytes)
-        return self._alloc(shape)
-
-    def _alloc(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Fresh zeroed buffer (hook for shared-memory subclasses)."""
         return np.zeros(shape, order="F")
-
-    def _discard(self, buf: np.ndarray) -> None:
-        """Dispose of a buffer leaving the arena (hook; no-op here —
-        the garbage collector reclaims process-private buffers)."""
 
     def release(self, buf: Optional[np.ndarray]) -> None:
         """Return a buffer for reuse.
@@ -150,30 +128,25 @@ class WorkspacePool:
         """
         if buf is None or buf.size == 0:
             return
-        dropped: list[np.ndarray] = []
         with self._lock:
             stack = self._free.get(buf.shape)
             if stack is not None and len(stack) >= self.max_free_per_shape:
                 self.owned_bytes -= buf.nbytes
-                dropped.append(buf)
+                return
+            if stack is None:
+                stack = self._free[buf.shape] = []
             else:
-                if stack is None:
-                    stack = self._free[buf.shape] = []
-                else:
-                    self._free.move_to_end(buf.shape)
-                stack.append(buf)
-                self.free_bytes += buf.nbytes
-                while self.free_bytes > self.max_free_bytes and self._free:
-                    lru_shape, lru_stack = next(iter(self._free.items()))
-                    victim = lru_stack.pop()
-                    if not lru_stack:
-                        del self._free[lru_shape]
-                    self.free_bytes -= victim.nbytes
-                    self.owned_bytes -= victim.nbytes
-                    self.evictions += 1
-                    dropped.append(victim)
-        for victim in dropped:
-            self._discard(victim)
+                self._free.move_to_end(buf.shape)
+            stack.append(buf)
+            self.free_bytes += buf.nbytes
+            while self.free_bytes > self.max_free_bytes and self._free:
+                lru_shape, lru_stack = next(iter(self._free.items()))
+                victim = lru_stack.pop()
+                if not lru_stack:
+                    del self._free[lru_shape]
+                self.free_bytes -= victim.nbytes
+                self.owned_bytes -= victim.nbytes
+                self.evictions += 1
 
     def forget(self, buf: Optional[np.ndarray]) -> None:
         """Transfer a buffer's ownership out of the pool (result hand-off)."""
@@ -193,114 +166,6 @@ class WorkspacePool:
                     "high_water_bytes": self.high_water_bytes,
                     "free_buffers": sum(len(v) for v in
                                         self._free.values())}
-
-
-class SharedWorkspacePool(WorkspacePool):
-    """A :class:`WorkspacePool` backed by named shared-memory segments.
-
-    The processes backend maps every V/Vws/D/X workspace into the
-    worker processes, so panel tasks mutate the same physical pages the
-    parent reads — zero copies cross the process boundary.  Semantics
-    match the base arena exactly (dirty reuse, shape-keyed free lists,
-    byte-capped LRU eviction): fresh POSIX segments are zero-filled
-    just like ``np.zeros``, so the "zeroed only when fresh" contract
-    holds bit for bit.
-
-    Ownership is strictly parent-side: segments created here are
-    unlinked when dropped, evicted or :meth:`close`\\ d, and
-    child-created X segments are handed over via :meth:`adopt` so the
-    unlink duty never rests with a worker that may be killed.
-    ``forget`` degrades to :meth:`release` — a segment cannot leave the
-    pool's ownership, so the processes result path copies eigenvectors
-    out of shared memory instead of aliasing them.
-    """
-
-    shared = True
-
-    # Process-global so concurrent pools (e.g. a one-shot solve while a
-    # session is open) never mint the same segment name.
-    _seg_seq = itertools.count()
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._seg_lock = threading.Lock()
-        self._segs: dict[str, tuple] = {}      # name -> (shm, arr)
-        self._by_id: dict[int, str] = {}       # id(arr) -> name
-
-    @staticmethod
-    def _unlink(shm) -> None:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    def _alloc(self, shape: tuple[int, ...]) -> np.ndarray:
-        from multiprocessing import shared_memory
-        nbytes = max(1, 8 * int(np.prod(shape)))
-        name = f"repro-ws-{os.getpid()}-{next(self._seg_seq)}"
-        shm = shared_memory.SharedMemory(create=True, size=nbytes,
-                                         name=name)
-        arr = np.ndarray(shape, dtype=np.float64, order="F",
-                         buffer=shm.buf)
-        with self._seg_lock:
-            self._segs[name] = (shm, arr)
-            self._by_id[id(arr)] = name
-        return arr
-
-    def _discard(self, buf: np.ndarray) -> None:
-        with self._seg_lock:
-            name = self._by_id.pop(id(buf), None)
-            entry = self._segs.pop(name, None) if name else None
-        if entry is not None:
-            self._unlink(entry[0])
-
-    def forget(self, buf: Optional[np.ndarray]) -> None:
-        # Ownership of a named segment cannot transfer out of the pool
-        # (somebody must unlink it); recycle instead.
-        self.release(buf)
-
-    def name_of(self, buf: np.ndarray) -> str:
-        """The segment name backing ``buf`` (for task dispatch)."""
-        with self._seg_lock:
-            return self._by_id[id(buf)]
-
-    def adopt(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Attach a child-created segment and take ownership of it."""
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(name=name)
-        arr = np.ndarray(shape, dtype=np.float64, order="F",
-                         buffer=shm.buf)
-        with self._seg_lock:
-            self._segs[name] = (shm, arr)
-            self._by_id[id(arr)] = name
-        rec = self.recorder
-        with self._lock:
-            self.owned_bytes += arr.nbytes
-            if self.owned_bytes > self.high_water_bytes:
-                self.high_water_bytes = self.owned_bytes
-            # Adopted child segments are real auxiliary memory of the
-            # solve: fold them into the same telemetry gauge that
-            # parent-side allocations feed.
-            if rec.enabled:
-                rec.gauge_max("workspace.high_water_bytes",
-                              self.high_water_bytes)
-        return arr
-
-    def close(self) -> None:
-        """Unlink every segment.  Linux keeps the pages alive until the
-        last unmap, so still-referenced result views stay valid; new
-        attaches become impossible and the names are reclaimed."""
-        with self._lock:
-            self._free.clear()
-            self.free_bytes = 0
-            self.owned_bytes = 0
-        with self._seg_lock:
-            segs = list(self._segs.values())
-            self._segs.clear()
-            self._by_id.clear()
-        for shm, _ in segs:
-            self._unlink(shm)
 
 
 class SolveHandle:
@@ -378,10 +243,6 @@ class SolverSession:
     backend:
         ``"threads"`` (default) runs concurrent submissions on one
         persistent work-stealing pool, fused into a single super-DAG.
-        ``"processes"`` runs them on a persistent pool of *worker
-        processes* with shared-memory workspaces — the same task flow
-        without the GIL, so the quadratic pure-Python merge phases
-        (LAED4, PermuteV, deflation) scale on real cores.
         ``"sequential"`` / ``"simulated"`` execute each submission
         eagerly on the calling thread (still with pooled workspaces and
         cached graph templates) — useful for debugging and equivalence
@@ -394,9 +255,6 @@ class SolverSession:
         the task graph is matrix independent, so same-shape submissions
         skip dependency analysis entirely.  Per-submission ``options``
         overrides are accepted by :meth:`submit`.
-    workspace_pool:
-        Recycle V/Vws/X buffers across solves (default on; pass False to
-        allocate per solve like ``dc_eigh``).
     max_inflight:
         Bound on concurrently executing fused sub-graphs; further
         ``submit`` calls block until a slot frees.  Caps the live
@@ -419,20 +277,17 @@ class SolverSession:
                  n_workers: Optional[int] = None,
                  machine: Optional[Machine] = None,
                  options: Optional[DCOptions] = None,
-                 workspace_pool: bool = True,
                  max_inflight: Optional[int] = None,
                  serve_port: Optional[int] = None,
                  serve_host: str = "127.0.0.1",
                  _one_shot: bool = False):
-        if backend not in BACKENDS:
-            raise InputError(f"unknown backend {backend!r}")
+        validate_backend(backend)
         self.backend = backend
         self.machine = machine if machine is not None else (
             Machine() if backend == "simulated" else None)
         if n_workers is None:
             n_workers = self.machine.n_cores if self.machine else (
-                default_thread_workers()
-                if backend in ("threads", "processes") else 1)
+                default_thread_workers() if backend == "threads" else 1)
         self.n_workers = n_workers
         self._one_shot = _one_shot
         opts = options or DCOptions()
@@ -441,26 +296,11 @@ class SolverSession:
         self.options = opts
         self._obs = opts.telemetry if opts.telemetry is not None \
             else NULL_RECORDER
-        # The processes backend always routes through the pool path —
-        # even one-shot — because only the persistent machinery knows
-        # how to drive worker processes; one-shot tears it down after
-        # the single solve.
-        self._persistent = (backend == "threads" and not _one_shot) \
-            or backend == "processes"
-        if backend == "processes":
-            # Child processes can only see shared-memory workspaces, so
-            # the arena is mandatory; without retention (one-shot or
-            # workspace_pool=False) it degrades to alloc/unlink per
-            # solve via zero retention caps.
-            retain = workspace_pool and not _one_shot
-            self._workspace = SharedWorkspacePool(
-                recorder=opts.telemetry) if retain else \
-                SharedWorkspacePool(max_free_per_shape=0, max_free_bytes=0,
-                                    recorder=opts.telemetry)
-        else:
-            self._workspace = (WorkspacePool(recorder=opts.telemetry)
-                               if workspace_pool and not _one_shot
-                               else None)
+        # A session pools workers (threads) and workspaces; a one-shot
+        # solve (dc_eigh) does neither.
+        self._persistent = backend == "threads" and not _one_shot
+        self._workspace = None if _one_shot else \
+            WorkspacePool(recorder=opts.telemetry)
         self._pool = None
         self._lock = threading.Lock()
         self._outstanding: set[SolveHandle] = set()
@@ -583,11 +423,6 @@ class SolverSession:
                     run.wait()
         if self._pool is not None:
             self._pool.shutdown()
-        ws = self._workspace
-        if ws is not None and ws.shared:
-            # Parent owns every shared-memory segment: unlink them all
-            # (already-materialized results were copied out).
-            ws.close()
         if self.server is not None:
             self.server.close()
 
@@ -732,28 +567,9 @@ class SolverSession:
             # always unblocks.
             self._slots.acquire()
 
-            procs = self.backend == "processes"
-
             def _on_done(run, h=handle, o=opts):
-                if procs and not run.failed:
-                    # Materialize (lam, V) out of shared memory *before*
-                    # releasing the workspace: shared segments never
-                    # leave the pool (somebody must unlink them), so the
-                    # result cannot alias them.  np.copy preserves the
-                    # bytes exactly — bitwise identity is unaffected.
-                    lam, V = h._ctx.result()
-                    if V is not None:       # jobz='N' has no vectors
-                        V = V.copy(order="F")
-                    if h._full:
-                        from .solver import DCResult
-                        h._value = DCResult(lam, V, run.trace,
-                                            h._graph, h._info)
-                    else:
-                        h._value = (lam, V)
-                    h._has_value = True
-                h._ctx.release_workspace(
-                    h._info.states.values(),
-                    keep_result=not run.failed and not procs)
+                h._ctx.release_workspace(h._info.states.values(),
+                                         keep_result=not run.failed)
                 h.t_done = time.perf_counter()
                 with self._lock:
                     self._outstanding.discard(h)
@@ -770,25 +586,13 @@ class SolverSession:
                     if self._closed:
                         raise SchedulerError("session is closed")
                     if self._pool is None:
-                        if procs:
-                            from ..runtime.procpool import ProcPool
-                            self._pool = ProcPool(self.n_workers,
-                                                  workspace=self._workspace,
-                                                  recorder=opts.telemetry)
-                        else:
-                            self._pool = WorkerPool(self.n_workers,
-                                                    recorder=opts.telemetry)
+                        self._pool = WorkerPool(self.n_workers,
+                                                recorder=opts.telemetry)
                     pool = self._pool
                     self._outstanding.add(handle)
-                if procs:
-                    handle._run = pool.submit_solve(
-                        ctx, graph, info, opts, injector=injector,
-                        on_done=_on_done)
-                else:
-                    handle._run = pool.submit(graph,
-                                              recorder=opts.telemetry,
-                                              injector=injector,
-                                              on_done=_on_done)
+                handle._run = pool.submit(graph, recorder=opts.telemetry,
+                                          injector=injector,
+                                          on_done=_on_done)
             except BaseException:
                 # Rejected (e.g. close() won the race): nothing ran, so
                 # the buffers the context took go straight back.
@@ -798,9 +602,4 @@ class SolverSession:
                     self._outstanding.discard(handle)
                 self._slots.release()
                 raise
-        if procs and self._one_shot:
-            # dc_eigh(..., backend="processes"): a transient pool for a
-            # single solve — drain and tear it down before returning.
-            handle._run.wait()
-            self.close(wait=False)
         return handle

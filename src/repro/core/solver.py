@@ -9,9 +9,6 @@ The same task graph runs on any runtime backend:
 * ``backend="sequential"`` — submission-order execution (the reference);
 * ``backend="threads"`` — out-of-order execution on OS threads (NumPy
   kernels release the GIL, so GEMM/secular panels overlap);
-* ``backend="processes"`` — out-of-order execution on worker
-  *processes* with shared-memory workspaces: the quadratic pure-Python
-  merge kernels scale past the GIL on real cores;
 * ``backend="simulated"`` — deterministic discrete-event execution on a
   virtual multicore (timing studies; numerics identical).
 
@@ -32,6 +29,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..runtime.dag import TaskGraph
+from ..runtime.quark import validate_backend
 from ..runtime.simulator import Machine
 from ..runtime.trace import Trace
 from .options import DCOptions
@@ -124,8 +122,7 @@ def dc_eigh(d: np.ndarray, e: np.ndarray, *,
     and workspace allocation across solves.
     """
     session = SolverSession(backend=backend, n_workers=n_workers,
-                            machine=machine, options=options,
-                            workspace_pool=False, _one_shot=True)
+                            machine=machine, options=options, _one_shot=True)
     return session.solve(d, e, subset=subset, full_result=full_result)
 
 
@@ -164,8 +161,10 @@ def dc_eigh_many(problems, *,
 
     Returns a list of ``(lam, V)`` pairs (or :class:`DCResult` when
     ``full_result=True``) and :class:`SolveFailure` records, in input
-    order.
+    order.  An unknown ``backend`` raises
+    :class:`~repro.errors.InputError` before any problem is solved.
     """
+    validate_backend(backend)
     opts = (options or DCOptions()).with_(reuse_graph=True)
     if use_session:
         with SolverSession(backend=backend, n_workers=n_workers,

@@ -15,10 +15,8 @@ Public surface:
   once for every substrate;
 * :class:`~repro.runtime.scheduler.SequentialScheduler` /
   :class:`~repro.runtime.scheduler.ThreadScheduler` /
-  :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock in-process
-  substrates;
-* :class:`~repro.runtime.procpool.ProcPool` — process substrate of the
-  eigensolver (shared-memory workspaces, replica graphs);
+  :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock
+  substrates (the calling thread, or a pool of OS threads);
 * :class:`~repro.runtime.simulator.Machine` /
   :class:`~repro.runtime.simulator.SimulatedMachine` — deterministic
   discrete-event execution on a virtual multicore, with
@@ -36,12 +34,11 @@ from .task import (Access, DataHandle, Task, TaskCost,
                    INPUT, OUTPUT, INOUT, GATHERV)
 from .dag import TaskGraph
 from .engine import (EngineRun, ExecutionCore, ReadyQueue, VirtualExecutor,
-                     WorkerStats, parent_epilogue)
+                     WorkerStats)
 from .faults import FaultInjector, FaultSpec
-from .scheduler import (PoolRun, SequentialScheduler, ThreadScheduler,
-                        WorkerPool, default_thread_workers)
+from .scheduler import (SequentialScheduler, ThreadScheduler, WorkerPool,
+                        default_thread_workers)
 from .simulator import Machine, SimulatedMachine
-from .procpool import ProcPool, ProcRun
 from .quark import Quark
 from .hetero import Accelerator, HeteroMachine, GPU_OFFLOAD_POLICY
 from .distributed import ClusterMachine, Network, tree_placement
@@ -52,10 +49,9 @@ __all__ = [
     "INPUT", "OUTPUT", "INOUT", "GATHERV",
     "TaskGraph",
     "EngineRun", "ExecutionCore", "ReadyQueue", "VirtualExecutor",
-    "WorkerStats", "parent_epilogue",
+    "WorkerStats",
     "SequentialScheduler", "ThreadScheduler",
-    "WorkerPool", "PoolRun", "default_thread_workers",
-    "ProcPool", "ProcRun",
+    "WorkerPool", "default_thread_workers",
     "Machine", "SimulatedMachine", "Quark",
     "FaultSpec", "FaultInjector",
     "Accelerator", "HeteroMachine", "GPU_OFFLOAD_POLICY",

@@ -24,18 +24,14 @@ in common lives here, once —
   :class:`~repro.runtime.hetero.HeteroMachine`): readiness, payload
   execution with fault injection, deadlock detection and counter
   emission, with the machine model (worker geometry, dispatch
-  placement, virtual-clock advance) left to subclasses;
-* :func:`parent_epilogue` — the generic parent-side epilogue hook that
-  replaces hardcoded kernel-name lists (e.g. the eigenvector-writer
-  fallback countdown of the process backend).
+  placement, virtual-clock advance) left to subclasses.
 
 The backends themselves (:mod:`~repro.runtime.scheduler`,
-:mod:`~repro.runtime.procpool`, :mod:`~repro.runtime.simulator`,
-:mod:`~repro.runtime.distributed`, :mod:`~repro.runtime.hetero`) are
-thin *substrates*: inline call, thread deques + stealing, shared-memory
-process dispatch, or a virtual clock.  No module outside this one may
-import an underscore-private name from another runtime module — the
-conformance suite's lint test enforces it.
+:mod:`~repro.runtime.simulator`, :mod:`~repro.runtime.distributed`,
+:mod:`~repro.runtime.hetero`) are thin *substrates*: inline call,
+thread deques + stealing, or a virtual clock.  No module outside this
+one may import an underscore-private name from another runtime module
+— the conformance suite's lint test enforces it.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from ..errors import SchedulerError, wrap_task_error
 from .trace import Trace, TraceEvent
 
 __all__ = ["ReadyQueue", "EngineRun", "ExecutionCore", "WorkerStats",
-           "VirtualExecutor", "parent_epilogue"]
+           "VirtualExecutor"]
 
 
 class ReadyQueue:
@@ -141,7 +137,7 @@ class ExecutionCore:
         The wrapper carries the task context (name, seq, tag, worker)
         and chains ``exc`` as its ``__cause__``; callers raise it.  The
         inline substrates pass the run's partial ``trace``, attached as
-        ``failure.trace``; the pools attach theirs in
+        ``failure.trace``; the thread pool attaches its own in
         :meth:`EngineRun.finish`.
         """
         failure = wrap_task_error(task, exc, worker=worker)
@@ -156,8 +152,9 @@ class ExecutionCore:
             self.recorder.add("scheduler.tasks", n_tasks)
 
     def emit_failure(self, n_failures: int, n_cancelled: int) -> None:
-        """First-failure counters of the inline substrates (the pools
-        count theirs, with partial progress, in :meth:`EngineRun.finish`)."""
+        """First-failure counters of the inline substrates (the thread
+        pool counts its own, with partial progress, in
+        :meth:`EngineRun.finish`)."""
         if self.observe:
             rec = self.recorder
             rec.add("scheduler.failures", n_failures)
@@ -168,32 +165,25 @@ class EngineRun:
     """Run-isolation record: one DAG submitted to an execution substrate.
 
     Owns the run's dependency countdowns, trace events, failure record
-    and completion signal — the state that used to be duplicated between
-    the thread pool's ``PoolRun`` and the process pool's ``ProcRun``
-    (both names remain as aliases).  Isolation boundary of a fused
-    super-DAG: a task failure marks *this* run failed (its queued tasks
-    drain as no-ops) while every other run proceeds untouched.
+    and completion signal.  Isolation boundary of a fused super-DAG: a
+    task failure marks *this* run failed (its queued tasks drain as
+    no-ops) while every other run proceeds untouched.
 
     ``inflight`` counts tasks of this run currently executing on some
-    worker (thread substrate).  Completion — and the ``on_done`` hook,
-    which may recycle the run's workspace buffers — only happens once
-    the run is finalized AND no task is still executing: a failed run
-    must not release buffers while a peer worker is writing into them.
-    The process substrate tracks the same thing as ``outstanding``
-    (seq -> (worker, epoch)) because its in-flight set lives across a
-    pipe, and restricts dispatch to the ``eligible`` worker set.
+    worker.  Completion — and the ``on_done`` hook, which may recycle
+    the run's workspace buffers — only happens once the run is
+    finalized AND no task is still executing: a failed run must not
+    release buffers while a peer worker is writing into them.
     """
 
     __slots__ = ("graph", "n_tasks", "pending", "remaining", "t0",
                  "events", "errors", "finalized", "trace", "recorder",
                  "injector", "order_base", "on_done", "_done_event",
-                 "n_executed", "lock", "inflight", "_deferred",
-                 "rid", "ctx", "info", "opts", "eligible", "outstanding")
+                 "n_executed", "lock", "inflight", "_deferred")
 
     def __init__(self, graph, order_base: int = 0, *, recorder=None,
                  injector=None,
-                 on_done: Optional[Callable[["EngineRun"], None]] = None,
-                 rid: int = 0, ctx=None, info=None, opts=None):
+                 on_done: Optional[Callable[["EngineRun"], None]] = None):
         self.graph = graph
         self.n_tasks = len(graph.tasks)
         self.pending = [t.n_deps for t in graph.tasks]
@@ -212,13 +202,6 @@ class EngineRun:
         self.inflight = 0              # tasks executing on a worker now
         self._deferred = False         # completion awaits inflight == 0
         self._done_event = threading.Event()
-        # Process-substrate fields (unused by the thread substrate):
-        self.rid = rid
-        self.ctx = ctx
-        self.info = info
-        self.opts = opts
-        self.eligible: set[int] = set()       # wids this run may use
-        self.outstanding: dict[int, tuple] = {}   # seq -> (wid, epoch)
 
     @property
     def failed(self) -> bool:
@@ -235,10 +218,6 @@ class EngineRun:
         if self.errors:
             raise self.errors[0]
         return self.trace
-
-    def key(self, task) -> tuple[int, int]:
-        """This task's pool-wide :class:`ReadyQueue` ordering key."""
-        return (-task.priority, self.order_base + task.seq)
 
     # -- readiness release -----------------------------------------------
     def release(self, task, stripes: Optional[Sequence] = None,
@@ -309,7 +288,7 @@ class EngineRun:
 class WorkerStats:
     """Per-worker telemetry slots, merged into the recorder off the hot
     path (after join for the one-shot scheduler; periodically and at
-    shutdown for the persistent pools — no locks or recorder calls in
+    shutdown for the persistent pool — no locks or recorder calls in
     the worker loop)."""
 
     __slots__ = ("steal_attempts", "steal_successes", "parks", "park_s",
@@ -334,34 +313,11 @@ class WorkerStats:
         self.flush_depth(rec, wid)
 
     def flush_depth(self, rec, wid: int) -> None:
-        """Export and clear the queue-depth samples (persistent pools
+        """Export and clear the queue-depth samples (a persistent pool
         must flush periodically or the lists grow without bound)."""
         samples, self.depth_samples = self.depth_samples, []
         rec.bulk_samples("scheduler.queue_depth", wid, samples)
         rec.observe_many("scheduler.queue_depth", (d for _, d in samples))
-
-
-def parent_epilogue(task) -> Optional[Callable[[], None]]:
-    """Resolve a task's declared parent-side epilogue, if any.
-
-    Kernel methods tagged with a ``_parent_epilogue = "method_name"``
-    class attribute ask the engine to call ``getattr(owner,
-    method_name)()`` on the *parent's* replica after the task completes
-    on a worker — e.g. the eigenvector-writer countdown that triggers
-    the deferred STEQR fallback in the process backend (see
-    :mod:`repro.core.merge`).  Replaces the hardcoded kernel-name list
-    the process pool used to keep; the tag lives on the underlying
-    function, so it survives graph-template instantiation.
-    """
-    func = task.func
-    name = getattr(getattr(func, "__func__", func), "_parent_epilogue",
-                   None)
-    if name is None:
-        return None
-    owner = getattr(func, "__self__", None)
-    if owner is None:
-        return None
-    return getattr(owner, name)
 
 
 # ---------------------------------------------------------------------------

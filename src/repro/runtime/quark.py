@@ -16,11 +16,10 @@ Backends
     :class:`~repro.runtime.simulator.Machine` (default: the paper's
     16-core dual-socket Xeon).
 
-Task payloads are in-process callables (typically closures over the
-caller's arrays), so there is no process backend here: the eigensolver's
-``backend="processes"`` runs on :class:`~repro.runtime.procpool.ProcPool`,
-which rebuilds the D&C graph inside each worker instead of pickling
-payloads.
+:data:`QUARK_BACKENDS` is the one list of backend names: the
+eigensolver (``dc_eigh``, ``SolverSession``, ``eigh``) and the CLI
+accept exactly these, checked by :func:`validate_backend` before any
+work starts.
 
 Every backend is a substrate of the shared engine
 (:mod:`repro.runtime.engine`), so fault injection, the per-run trace,
@@ -41,8 +40,16 @@ from .simulator import Machine, SimulatedMachine
 from .task import Access, DataHandle, Task
 from .trace import Trace
 
-#: Backends the facade can execute a task flow on.
+#: Backends a task flow can execute on.
 QUARK_BACKENDS = ("sequential", "threads", "simulated")
+
+
+def validate_backend(backend: str) -> None:
+    """Raise :class:`~repro.errors.InputError` unless ``backend`` is one
+    of :data:`QUARK_BACKENDS`."""
+    if backend not in QUARK_BACKENDS:
+        raise InputError(f"unknown backend {backend!r}; expected one of "
+                         f"{QUARK_BACKENDS}")
 
 
 class Quark:
@@ -52,10 +59,7 @@ class Quark:
                  n_workers: Optional[int] = None,
                  machine: Optional[Machine] = None,
                  recorder=None, fault_injection: Optional[FaultSpec] = None):
-        if backend not in QUARK_BACKENDS:
-            raise InputError(
-                f"unknown Quark backend {backend!r}; expected one of "
-                f"{QUARK_BACKENDS}")
+        validate_backend(backend)
         self.backend = backend
         self.recorder = recorder
         self.injector = (FaultInjector(fault_injection)

@@ -42,10 +42,6 @@ from .dag import TaskGraph
 from .engine import EngineRun, ExecutionCore, ReadyQueue, WorkerStats
 from .trace import Trace, TraceEvent
 
-#: Back-compat alias: the pool's run-isolation record now lives in the
-#: engine (one record shared with the process substrate).
-PoolRun = EngineRun
-
 
 def default_thread_workers() -> int:
     """Default worker count for ``backend="threads"``: one per core.

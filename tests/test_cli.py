@@ -50,6 +50,13 @@ def test_bad_arguments():
         main(["nonsense"])
 
 
+def test_processes_backend_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["solve", "--backend", "processes"])
+    assert ei.value.code == 2
+    assert "invalid choice: 'processes'" in capsys.readouterr().err
+
+
 def test_solve_with_subset(capsys):
     assert main(["solve", "--type", "6", "--n", "80",
                  "--subset", "0:5"]) == 0

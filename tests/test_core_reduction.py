@@ -80,21 +80,23 @@ def test_small_and_invalid():
 
 
 def test_reduction_rejects_processes_backend():
-    # Regression: the reduction's tasks are closures over the working
-    # matrix, which a process pool cannot pickle; this used to surface
-    # as a TaskFailure from the first task instead of an input error.
+    # There is no processes backend: the name is rejected like any
+    # unknown backend, as an input error before any task runs.
     A = sym(np.random.default_rng(6), 120)
     with pytest.raises(InputError, match="processes"):
         taskflow_tridiagonalize(A, backend="processes", n_workers=2)
 
 
-def test_dense_eigh_processes_bitwise_equals_threads():
-    # Regression: eigh(..., backend="processes") failed pickling its
-    # back-transform closures.  The tridiagonal solve now runs on the
-    # process pool and the back-transform on threads.
+@pytest.mark.parametrize("backend", ["bogus", "processes"])
+def test_dense_eigh_rejects_unknown_backend_before_reduction(backend,
+                                                             monkeypatch):
+    # Regression: the whole Householder reduction ran before dc_eigh
+    # rejected the backend name.
+    def reduction_must_not_run(a):
+        raise AssertionError("tridiagonalize ran with an invalid backend")
+
+    monkeypatch.setattr("repro.core.dense.tridiagonalize",
+                        reduction_must_not_run)
     A = sym(np.random.default_rng(7), 120)
-    lam_t, V_t = eigh(A, backend="threads", n_workers=2)
-    lam_p, V_p = eigh(A, backend="processes", n_workers=2)
-    np.testing.assert_array_equal(lam_t, lam_p)
-    np.testing.assert_array_equal(V_t, V_p)
-    assert np.max(np.abs(A @ V_p - V_p * lam_p)) < 1e-12 * 120
+    with pytest.raises(InputError, match="expected one of"):
+        eigh(A, backend=backend)

@@ -3,9 +3,7 @@
 Every generic-graph execution substrate — sequential, threads, worker
 pool, and the three virtual machines (simulated / cluster / hetero) —
 runs on the shared engine (:mod:`repro.runtime.engine`).  This suite
-pins the contract the engine owns, parameterized over all of them (the
-eigensolver's process pool, which runs only D&C graphs, is pinned by
-``tests/test_procpool.py``):
+pins the contract the engine owns, parameterized over all of them:
 
 * priority order on a crafted DAG (single-worker configs so the ready
   order is observable in the trace);

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import dc_eigh
+from repro import SolverSession, dc_eigh, dc_eigh_many
 from repro.errors import (ConvergenceError, GraphError, InjectedFault,
                           InputError, ReproError, SchedulerError,
                           TaskFailure, validate_subset,
@@ -103,6 +103,26 @@ def test_inf_offdiag_rejected_on_threads_backend():
     e[42] = -np.inf
     with pytest.raises(InputError, match=r"e\[42\] is -inf"):
         dc_eigh(d, e, backend="threads")
+
+
+@pytest.mark.parametrize("backend", ["bogus", "processes"])
+def test_unknown_backend_rejected_with_valid_choices(backend):
+    d, e = np.ones(50), np.full(49, 0.5)
+    with pytest.raises(InputError, match="expected one of"):
+        dc_eigh(d, e, backend=backend)
+    with pytest.raises(InputError, match="expected one of"):
+        SolverSession(backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["bogus", "processes"])
+def test_dc_eigh_many_rejects_unknown_backend_before_solving(backend):
+    # Regression: the serial loop (use_session=False) turned a bad
+    # backend into one SolveFailure per problem instead of raising.
+    problems = [(np.ones(50), np.full(49, 0.5))] * 2
+    for use_session in (True, False):
+        with pytest.raises(InputError, match="expected one of"):
+            dc_eigh_many(problems, backend=backend,
+                         use_session=use_session)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def test_simulated_injection():
 
 
 # ---------------------------------------------------------------------------
-# AND-selectors behave identically on all four backends (incl. processes)
+# AND-selectors behave identically on every backend
 # ---------------------------------------------------------------------------
 
 def _laed4_seqs(d, e):
@@ -254,7 +254,7 @@ def _find_seeds(seqs, p=0.2):
     raise AssertionError("no suitable seeds in range")
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ["processes"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_kernel_and_probability_identical_on_every_backend(backend):
     # Regression: kernel= used to make the spec fire unconditionally,
     # ignoring the probability roll.  With a seed whose roll misses all
@@ -265,33 +265,29 @@ def test_kernel_and_probability_identical_on_every_backend(backend):
     quiet, noisy = _find_seeds(seqs)
     lam0, V0 = dc_eigh(d, e)
 
-    kw = {"backend": backend}
-    if backend == "processes":
-        kw["n_workers"] = 2
     lam, V = dc_eigh(d, e, options=DCOptions(fault_injection=FaultSpec(
-        kernel="LAED4", probability=0.2, seed=quiet)), **kw)
+        kernel="LAED4", probability=0.2, seed=quiet)), backend=backend)
     np.testing.assert_array_equal(lam0, lam)
     np.testing.assert_array_equal(V0, V)
 
     spec = FaultSpec(kernel="LAED4", probability=0.2, seed=noisy)
     with pytest.raises(TaskFailure) as ei:
-        dc_eigh(d, e, options=DCOptions(fault_injection=spec), **kw)
+        dc_eigh(d, e, options=DCOptions(fault_injection=spec),
+                backend=backend)
     assert ei.value.task_name == "LAED4"
     assert FaultInjector(spec)._roll(ei.value.seq)
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ["processes"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_kernel_and_nth_identical_on_every_backend(backend):
     # nth with kernel selects one deterministic match; with an
     # out-of-order schedule the *set* of eligible tasks is fixed even if
     # which one hits the counter first is not.
     d, e = _problem(120, seed=6)
-    kw = {"backend": backend}
-    if backend == "processes":
-        kw["n_workers"] = 2
     spec = FaultSpec(kernel="PermuteV", nth=1)
     with pytest.raises(TaskFailure) as ei:
-        dc_eigh(d, e, options=DCOptions(fault_injection=spec), **kw)
+        dc_eigh(d, e, options=DCOptions(fault_injection=spec),
+                backend=backend)
     assert ei.value.task_name == "PermuteV"
     assert isinstance(ei.value.__cause__, InjectedFault)
 

@@ -5,7 +5,7 @@ reduced boundary-row-strip DAG with O(n) auxiliary state while
 producing *bitwise identical* eigenvalues to the full ``jobz='V'``
 solve — both modes source every merge's rank-one z from the same strip
 kernels, so the secular spine never sees the difference.  These tests
-pin that contract across the Table III matrix types, all four runtime
+pin that contract across the Table III matrix types, all three runtime
 backends, subsets, sessions/batches, fault injection, the STEQR
 fallback, the graph-template cache, and the memory telemetry.
 """
@@ -49,7 +49,7 @@ def test_jobz_validation():
 
 
 # ---------------------------------------------------------------------------
-# Bitwise parity: all Table III types x all four backends
+# Bitwise parity: all Table III types x all three backends
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mtype", MATRIX_TYPES)
@@ -63,18 +63,6 @@ def test_eigenvalues_bitwise_all_types(mtype):
                             n_workers=workers)
         assert Vn is None
         np.testing.assert_array_equal(lam_v, lam_n)
-
-
-def test_eigenvalues_bitwise_processes():
-    # Worker processes take ~a second to spawn: one session, all types.
-    with SolverSession(backend="processes", n_workers=2,
-                       options=N_OPTS.with_(reuse_graph=True)) as s:
-        for mtype in MATRIX_TYPES:
-            d, e = table3_matrix(mtype, 150, seed=11)
-            lam_v, _ = dc_eigh(d, e)
-            lam_n, Vn = s.solve(d, e)
-            assert Vn is None
-            np.testing.assert_array_equal(lam_v, lam_n)
 
 
 # ---------------------------------------------------------------------------

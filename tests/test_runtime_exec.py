@@ -229,7 +229,7 @@ def test_quark_simulated_defaults_to_paper_machine():
     assert tr.n_workers == 16
 
 
-@pytest.mark.parametrize("backend", ["bogus", "processes"])
+@pytest.mark.parametrize("backend", ["bogus"])
 def test_quark_rejects_unknown_backend_at_construction(backend):
     # Regression: an unknown backend was accepted here and only failed
     # at barrier(), with a plain ValueError, after tasks were inserted.

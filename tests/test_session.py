@@ -204,8 +204,7 @@ def test_session_pools_workspaces_across_solves():
 
 def test_one_shot_dc_eigh_does_not_pool():
     d, e = _problem(n=80)
-    s = SolverSession(backend="sequential", _one_shot=True,
-                      workspace_pool=False)
+    s = SolverSession(backend="sequential", _one_shot=True)
     assert s.stats().get("workspace") is None
     lam, V = s.solve(d, e)
     np.testing.assert_array_equal(lam, dc_eigh(d, e)[0])
@@ -286,7 +285,7 @@ def test_submit_after_close_raises():
     s.close()                             # idempotent
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 def test_handle_timeout_leaves_handle_reusable(backend):
     """``result(timeout=)``/``exception(timeout=)`` hitting the deadline
     raise ``SchedulerError`` but must not poison the handle — a later
