@@ -256,7 +256,7 @@ def bench_telemetry(mtype: int, n: int, repeats: int = 5) -> dict:
     asserting the observability subsystem stays zero-overhead when
     disabled keys on it.  ``solve_on_s`` measures the enabled collector
     on the same sequential solve; ``threads4`` is the compact telemetry
-    block (steal rate, idle fraction, ...) of a 4-worker solve, embedded
+    block (park time, idle fraction, ...) of a 4-worker solve, embedded
     in the BENCH JSON envelope.
     """
     from common import solve_telemetry
@@ -274,7 +274,7 @@ def bench_telemetry(mtype: int, n: int, repeats: int = 5) -> dict:
            "threads4": block}
     print(f"  telemetry type {mtype} n={n}: off {off_s:7.3f} s  "
           f"on {on_s:7.3f} s  (+{100 * rec['on_overhead']:.1f}%)  "
-          f"steal rate {block.get('steal_success_rate')}  "
+          f"parked {block.get('park_time_s'):.3g} s  "
           f"idle {block.get('idle_fraction'):.1%}")
     return rec
 

@@ -57,8 +57,8 @@ def write_bench_json(name: str, payload: dict, *,
     compare runs.  Returns the path written.
 
     ``telemetry`` — optional compact observability block (typically
-    :func:`solve_telemetry` or :func:`repro.obs.telemetry_block`: steal
-    rate, idle fraction, cache hit rate, ...) stored alongside the
+    :func:`solve_telemetry` or :func:`repro.obs.telemetry_block`: park
+    time, idle fraction, cache hit rate, ...) stored alongside the
     results so regression gates can key on scheduler behaviour, not just
     wall time.
     """

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cores", type=int, default=16)
     t.add_argument("--backend", default="simulated", choices=QUARK_BACKENDS,
                    help="runtime backend to trace (threads exposes the "
-                        "work-stealing counters)")
+                        "park and queue-depth counters)")
     t.add_argument("--config", default="full-taskflow",
                    choices=["sequential", "parallel-gemm", "parallel-merge",
                             "full-taskflow"],

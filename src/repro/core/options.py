@@ -12,7 +12,7 @@ from .costs import SECULAR_SWEEPS
 #: workers`` panels across the level; no panel narrower than 16 columns
 #: or ``OVERHEAD_RATIO`` per-task dispatch costs of work.  OVERSUB = 3
 #: won a sweep over {2..8} on the simulated 16-core machine at the
-#: Fig-6 sizes (n >= 2500): enough slack to keep the stealing queues
+#: Fig-6 sizes (n >= 2500): enough slack to keep the ready queue
 #: fed and the panel tails balanced (2 starves the work-bound shapes;
 #: 4+ drowns the overhead-bound ones in dispatch cost).
 _ADAPTIVE_OVERSUB = 3

@@ -242,7 +242,7 @@ class SolverSession:
     ----------
     backend:
         ``"threads"`` (default) runs concurrent submissions on one
-        persistent work-stealing pool, fused into a single super-DAG.
+        persistent worker pool, fused into a single super-DAG.
         ``"sequential"`` / ``"simulated"`` execute each submission
         eagerly on the calling thread (still with pooled workspaces and
         cached graph templates) — useful for debugging and equivalence

@@ -16,7 +16,8 @@ Hierarchy::
     ├── TaskFailure       (also RuntimeError) — a task raised; wraps the
     │                                           cause with task context
     ├── InjectedFault     (also RuntimeError) — deterministic test fault
-    ├── GraphError        (also RuntimeError) — malformed task DAG (cycle)
+    ├── GraphError        (also RuntimeError) — malformed task DAG (a
+    │                                           backward edge or a cycle)
     └── SchedulerError    (also RuntimeError) — runtime invariant violated
 
 The boundary validators (:func:`validate_tridiagonal`,
@@ -75,7 +76,8 @@ class InjectedFault(ReproError, RuntimeError):
 
 
 class GraphError(ReproError, RuntimeError):
-    """The task graph is malformed (e.g. contains a cycle)."""
+    """The task graph is malformed: an edge that does not point forward
+    in submission order, or (in a hand-built graph) a cycle."""
 
 
 class SchedulerError(ReproError, RuntimeError):

@@ -8,8 +8,8 @@ structured :class:`~repro.obs.recorder.Collector`, which captures
 
 * hierarchical wall-clock **spans** (solve → graph build/instantiate →
   execute → finalize),
-* **scheduler counters** (steal attempts/successes, park cycles and
-  time, per-worker queue-depth samples, dependency-resolution time),
+* **scheduler counters** (park cycles and time, ready-queue depth
+  samples, dependency-resolution time),
 * **graph-cache counters** (template hits/misses, build/instantiate
   time),
 * **numeric-health metrics** (per-merge deflation ratios by type, LAED4

@@ -21,7 +21,7 @@ Machine-readable views plus a human summary over one solve's telemetry
     Collapsed-stack flamegraph input weighted by exact task time.
 ``telemetry_summary`` / ``telemetry_block``
     Human-readable report and the compact dict embedded in BENCH JSON
-    (steal rate, idle fraction, cache hit rate, ...).
+    (park time, idle fraction, cache hit rate, ...).
 """
 
 from __future__ import annotations
@@ -276,10 +276,6 @@ def telemetry_block(collector: Optional[Collector],
     if collector is None:
         return block
     c = collector.counters
-    attempts = c.get("scheduler.steal.attempts", 0.0)
-    block["steal_attempts"] = attempts
-    block["steal_successes"] = c.get("scheduler.steal.successes", 0.0)
-    block["steal_success_rate"] = _rate(block["steal_successes"], attempts)
     block["parks"] = c.get("scheduler.park.count", 0.0)
     block["park_time_s"] = c.get("scheduler.park.time_s", 0.0)
     block["dep_resolve_s"] = c.get("scheduler.dep_resolve.time_s", 0.0)
@@ -323,13 +319,7 @@ def telemetry_summary(collector: Optional[Collector],
     if collector is None:
         return "\n".join(rows)
     c = collector.counters
-    attempts = c.get("scheduler.steal.attempts", 0.0)
-    hits = c.get("scheduler.steal.successes", 0.0)
     rows.append("scheduler:")
-    rows.append(f"  steal attempts   : {attempts:.0f}")
-    rows.append(f"  steal successes  : {hits:.0f}"
-                + (f"  ({hits / attempts:.1%} success rate)"
-                   if attempts else ""))
     rows.append(f"  park cycles      : {c.get('scheduler.park.count', 0):.0f}"
                 f"  ({c.get('scheduler.park.time_s', 0):.4g} s parked)")
     rows.append("  dep-resolve time : "

@@ -5,7 +5,9 @@ Public surface:
 * :class:`~repro.runtime.task.DataHandle`, :class:`~repro.runtime.task.Task`,
   :class:`~repro.runtime.task.TaskCost` and the access qualifiers
   ``INPUT`` / ``OUTPUT`` / ``INOUT`` / ``GATHERV``;
-* :class:`~repro.runtime.dag.TaskGraph` — dependency analysis;
+* :class:`~repro.runtime.dag.TaskGraph` — dependency analysis, whose
+  edges all point forward in submission order, so a graph is acyclic
+  as built;
 * :mod:`~repro.runtime.engine` — the shared execution core
   (:class:`~repro.runtime.engine.ExecutionCore`,
   :class:`~repro.runtime.engine.EngineRun`,
@@ -16,7 +18,8 @@ Public surface:
 * :class:`~repro.runtime.scheduler.SequentialScheduler` /
   :class:`~repro.runtime.scheduler.ThreadScheduler` /
   :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock
-  substrates (the calling thread, or a pool of OS threads);
+  substrates (the calling thread, or a pool of OS threads sharing one
+  ready queue under one lock);
 * :class:`~repro.runtime.simulator.Machine` /
   :class:`~repro.runtime.simulator.SimulatedMachine` — deterministic
   discrete-event execution on a virtual multicore, with

@@ -7,8 +7,8 @@ in common lives here, once —
 
 * :class:`ReadyQueue` — the priority-ordered ready structure (higher
   ``Task.priority`` first, then overall submission order: QUARK's
-  sequential-task-flow policy), optionally lock-guarded for the
-  multi-threaded substrates;
+  sequential-task-flow policy); unlocked, so the thread pool guards its
+  one shared instance with its own lock;
 * :class:`EngineRun` — the run-isolation record: per-run dependency
   countdowns and readiness release, first-failure state, trace events,
   and the single emission point for the run's :class:`Trace` (built for
@@ -28,10 +28,10 @@ in common lives here, once —
 
 The backends themselves (:mod:`~repro.runtime.scheduler`,
 :mod:`~repro.runtime.simulator`, :mod:`~repro.runtime.distributed`,
-:mod:`~repro.runtime.hetero`) are thin *substrates*: inline call,
-thread deques + stealing, or a virtual clock.  No module outside this
-one may import an underscore-private name from another runtime module
-— the conformance suite's lint test enforces it.
+:mod:`~repro.runtime.hetero`) are thin *substrates*: inline call, a
+thread pool over one locked ready queue, or a virtual clock.  No module
+outside this one may import an underscore-private name from another
+runtime module — the conformance suite's lint test enforces it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ..errors import SchedulerError, wrap_task_error
 from .trace import Trace, TraceEvent
@@ -56,47 +56,26 @@ class ReadyQueue:
     ``(task, run)`` kept out of the comparison, so tasks from different
     fused runs interleave by priority without ever comparing ``Task``
     objects.  Single-graph users pass no ``run``/``base`` and the key
-    degenerates to ``(-priority, seq)``.
-
-    ``locked=True`` guards push/pop with a mutex for multi-consumer
-    substrates (one instance per worker deque, poppable by thieves);
-    single-threaded substrates skip the lock entirely.
+    degenerates to ``(-priority, seq)``.  Not thread-safe: a
+    multi-threaded substrate calls it under its own lock.
     """
 
-    __slots__ = ("_heap", "_lock")
+    __slots__ = ("_heap",)
 
-    def __init__(self, locked: bool = False):
+    def __init__(self) -> None:
         self._heap: list[tuple[tuple[int, int], tuple]] = []
-        self._lock = threading.Lock() if locked else None
 
     def push(self, task, run=None, base: int = 0) -> None:
-        entry = ((-task.priority, base + task.seq), (task, run))
-        if self._lock is not None:
-            with self._lock:
-                heapq.heappush(self._heap, entry)
-        else:
-            heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap,
+                       ((-task.priority, base + task.seq), (task, run)))
 
     def pop(self) -> Optional[tuple]:
         """Best ``(task, run)`` pair, or ``None`` when empty."""
-        if self._lock is not None:
-            with self._lock:
-                if self._heap:
-                    return heapq.heappop(self._heap)[1]
-            return None
         if self._heap:
             return heapq.heappop(self._heap)[1]
         return None
 
-    def clear(self) -> None:
-        if self._lock is not None:
-            with self._lock:
-                self._heap.clear()
-        else:
-            self._heap.clear()
-
     def __len__(self) -> int:
-        # Unlocked read (GIL-atomic): used for depth telemetry only.
         return len(self._heap)
 
 
@@ -173,13 +152,16 @@ class EngineRun:
     worker.  Completion — and the ``on_done`` hook, which may recycle
     the run's workspace buffers — only happens once the run is
     finalized AND no task is still executing: a failed run must not
-    release buffers while a peer worker is writing into them.
+    release buffers while a peer worker is writing into them.  The
+    thread pool reads and writes the lifecycle fields (``pending``,
+    ``remaining``, ``inflight``, ``n_executed``, ``finalized``,
+    ``errors``) only under its lock.
     """
 
     __slots__ = ("graph", "n_tasks", "pending", "remaining", "t0",
                  "events", "errors", "finalized", "trace", "recorder",
                  "injector", "order_base", "on_done", "_done_event",
-                 "n_executed", "lock", "inflight", "_deferred")
+                 "n_executed", "inflight")
 
     def __init__(self, graph, order_base: int = 0, *, recorder=None,
                  injector=None,
@@ -198,9 +180,7 @@ class EngineRun:
         self.order_base = order_base
         self.on_done = on_done
         self.n_executed = 0
-        self.lock = threading.Lock()   # guards the lifecycle fields below
         self.inflight = 0              # tasks executing on a worker now
-        self._deferred = False         # completion awaits inflight == 0
         self._done_event = threading.Event()
 
     @property
@@ -220,33 +200,24 @@ class EngineRun:
         return self.trace
 
     # -- readiness release -----------------------------------------------
-    def release(self, task, stripes: Optional[Sequence] = None,
-                n_stripes: int = 1) -> list:
-        """Resolve ``task``'s successor dependencies; return the tasks
-        that just became ready.
+    def release(self, task, ready: ReadyQueue) -> int:
+        """Count down ``task``'s successors, push the ones that became
+        ready into ``ready`` and return how many did.
 
         The per-run countdown is indexed by submission order ``seq``
         (the graph's own ``n_deps`` is never mutated, so one graph can
-        be re-analyzed or re-instantiated).  ``stripes`` is the thread
-        substrate's striped lock array — a completing task decrements
-        each successor under one of ``n_stripes`` locks chosen by task
-        id, never a global lock; single-consumer substrates pass none.
+        be re-analyzed or re-instantiated).
         """
-        out = []
         pending = self.pending
-        if stripes is None:
-            for s in task.successors:
-                pending[s.seq] -= 1
-                if pending[s.seq] == 0:
-                    out.append(s)
-        else:
-            for s in task.successors:
-                with stripes[s.seq % n_stripes]:
-                    pending[s.seq] -= 1
-                    now_ready = pending[s.seq] == 0
-                if now_ready:
-                    out.append(s)
-        return out
+        base = self.order_base
+        n = 0
+        for s in task.successors:
+            i = s.seq
+            pending[i] -= 1
+            if pending[i] == 0:
+                ready.push(s, self, base)
+                n += 1
+        return n
 
     # -- the single emission point ---------------------------------------
     def finish(self, n_workers: int,
@@ -288,15 +259,12 @@ class EngineRun:
 class WorkerStats:
     """Per-worker telemetry slots, merged into the recorder off the hot
     path (after join for the one-shot scheduler; periodically and at
-    shutdown for the persistent pool — no locks or recorder calls in
-    the worker loop)."""
+    shutdown for the persistent pool — no recorder calls under the pool
+    lock)."""
 
-    __slots__ = ("steal_attempts", "steal_successes", "parks", "park_s",
-                 "dep_s", "depth_samples")
+    __slots__ = ("parks", "park_s", "dep_s", "depth_samples")
 
     def __init__(self) -> None:
-        self.steal_attempts = 0
-        self.steal_successes = 0
         self.parks = 0
         self.park_s = 0.0
         self.dep_s = 0.0
@@ -305,8 +273,6 @@ class WorkerStats:
     def emit(self, rec, wid: int) -> None:
         """Fold this worker's counters and queue-depth samples into the
         recorder (caller checks ``rec.enabled``)."""
-        rec.add("scheduler.steal.attempts", self.steal_attempts)
-        rec.add("scheduler.steal.successes", self.steal_successes)
         rec.add("scheduler.park.count", self.parks)
         rec.add("scheduler.park.time_s", self.park_s)
         rec.add("scheduler.dep_resolve.time_s", self.dep_s)
@@ -380,7 +346,6 @@ class VirtualExecutor:
 
     # -- engine loop -----------------------------------------------------
     def run(self, graph) -> Trace:
-        graph.validate_acyclic()
         tasks = graph.tasks
         core = self._core = ExecutionCore(self.recorder, self.injector)
         self._trace = trace = Trace(n_workers=self._virtual_workers())

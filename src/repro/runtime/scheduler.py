@@ -7,18 +7,19 @@ in-process substrates that execute under it:
 * :class:`SequentialScheduler` — runs tasks in submission order on the
   calling thread; the reference for correctness and for the paper's
   "sequential execution" timings.
-* :class:`WorkerPool` — the work-stealing thread substrate: ``n_workers``
-  persistent OS threads, each owning a priority
-  :class:`~repro.runtime.engine.ReadyQueue`, resolving successor
-  dependency counts with striped per-task locks and stealing from peers
-  when their own queue runs dry.  A condition variable is used *only* to
-  park idle workers — the task hot path (pop, run, resolve successors)
-  never takes a global lock, which is what keeps per-task overhead low
-  enough for the paper's fine-grained panel tasks (the QUARK design
-  point).  NumPy/BLAS kernels release the GIL, so the heavy tasks
-  (``UpdateVect`` GEMMs, vectorized secular solves) genuinely overlap.
-  Many sub-graphs execute fused: each :meth:`WorkerPool.submit` returns
-  an :class:`~repro.runtime.engine.EngineRun` isolation record.
+* :class:`WorkerPool` — the thread substrate: ``n_workers`` persistent
+  OS threads sharing one priority
+  :class:`~repro.runtime.engine.ReadyQueue` under one lock.  Under that
+  lock a worker retires its previous task (successor countdown, newly
+  ready pushes, run completion) and pops its next one or parks; it runs
+  the task outside the lock.  Scheduling is pure Python under the GIL,
+  so more queues or finer locks would add per-task cost, not
+  concurrency; one lock keeps dispatch small next to the paper's
+  fine-grained panel tasks (the QUARK design point).  NumPy/BLAS
+  kernels release the GIL, so the heavy tasks (``UpdateVect`` GEMMs,
+  vectorized secular solves) genuinely overlap.  Many sub-graphs
+  execute fused: each :meth:`WorkerPool.submit` returns an
+  :class:`~repro.runtime.engine.EngineRun` isolation record.
 * :class:`ThreadScheduler` — the one-shot facade over the same
   substrate: ``run(graph)`` spins up a private pool, submits the graph,
   joins the workers and returns the trace (the paper's 1-16 thread
@@ -28,6 +29,9 @@ All substrates record a :class:`~repro.runtime.trace.Trace` using
 wall-clock time.  Deterministic multicore *timing* studies use the
 discrete-event substrates in :mod:`repro.runtime.simulator` /
 :mod:`repro.runtime.distributed` / :mod:`repro.runtime.hetero` instead.
+No substrate re-checks a graph for cycles:
+:meth:`~repro.runtime.task.Task.add_successor` only accepts edges that
+point forward in submission order.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ class SequentialScheduler:
         self.injector = injector
 
     def run(self, graph: TaskGraph) -> Trace:
-        graph.validate_acyclic()
         trace = Trace(n_workers=1)
         core = ExecutionCore(self.recorder, self.injector)
         guard = core.guard
@@ -103,34 +106,31 @@ _POOL_DEFAULT = object()
 
 
 class WorkerPool:
-    """Persistent work-stealing worker pool executing fused sub-graphs.
+    """Persistent worker pool executing fused sub-graphs.
 
-    The thread substrate of the engine: per-worker priority queues
-    (:class:`~repro.runtime.engine.ReadyQueue`), striped dependency
-    counting via :meth:`EngineRun.release`, stealing on empty, condvar
-    parking.  The ``n_workers`` OS threads are spawned **once** and park
-    between solves instead of being joined: :meth:`submit` seeds a new
-    sub-graph's source tasks into the worker queues and returns
-    immediately with an :class:`~repro.runtime.engine.EngineRun` handle,
-    so panel tasks from one problem fill workers idled by another
-    problem's serial merge spine (the fused super-DAG of the session
-    layer).
+    The thread substrate of the engine: one priority
+    :class:`~repro.runtime.engine.ReadyQueue` and every run's lifecycle
+    fields are guarded by the pool's single condition variable.  The
+    ``n_workers`` OS threads are spawned **once** and park between
+    solves instead of being joined: :meth:`submit` seeds a new
+    sub-graph's source tasks into the queue and returns immediately with
+    an :class:`~repro.runtime.engine.EngineRun` handle, so panel tasks
+    from one problem fill workers idled by another problem's serial
+    merge spine (the fused super-DAG of the session layer).
 
     Isolation is per run: dependency countdowns, traces, fault injectors
     and failure state are all run-local (owned by the
-    :class:`EngineRun`); the only shared state is the ready queues and
-    the idle condvar.
+    :class:`EngineRun`); the only shared state is the ready queue and
+    its lock.
     """
 
-    def __init__(self, n_workers: Optional[int] = None, n_stripes: int = 64,
-                 recorder=None, worker_names=_POOL_DEFAULT,
-                 record_idle: bool = False):
+    def __init__(self, n_workers: Optional[int] = None, recorder=None,
+                 worker_names=_POOL_DEFAULT, record_idle: bool = False):
         if n_workers is None:
             n_workers = default_thread_workers()
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.n_stripes = max(1, n_stripes)
         self.recorder = recorder
         if worker_names is _POOL_DEFAULT:
             names = [f"pool-worker-{w}" for w in range(n_workers)]
@@ -142,13 +142,10 @@ class WorkerPool:
         self._idles: Optional[list[tuple[int, float, float]]] = (
             [] if record_idle else None)
         self._parked = 0        # workers blocked on the condvar now
-        self._deques = [ReadyQueue(locked=True) for _ in range(n_workers)]
-        self._stripes = [threading.Lock() for _ in range(self.n_stripes)]
+        self._ready = ReadyQueue()
         self._cv = threading.Condition()
-        self._state = {"version": 0}
         self._shutdown = False
         self._order = 0          # global submission-order counter
-        self._rr = 0             # round-robin seeding cursor
         self._active: set[EngineRun] = set()  # submitted, not completed
         self._t0 = time.perf_counter()       # pool epoch for telemetry
         self.runs_completed = 0
@@ -168,7 +165,6 @@ class WorkerPool:
                on_done: Optional[Callable[[EngineRun], None]] = None
                ) -> EngineRun:
         """Fuse ``graph`` into the running super-DAG; returns its handle."""
-        graph.validate_acyclic()
         with self._cv:
             if self._shutdown:
                 raise SchedulerError("worker pool is shut down")
@@ -177,164 +173,128 @@ class WorkerPool:
             self._order += max(1, run.n_tasks)
             if run.n_tasks == 0:
                 run.finalized = True
+                self.runs_completed += 1
             else:
                 self._active.add(run)
-                nw = self.n_workers
-                seeded = self._rr
+                push = self._ready.push
                 base = run.order_base
+                seeded = 0
                 for t in graph.tasks:
                     if t.n_deps == 0:
-                        self._deques[seeded % nw].push(t, run, base)
+                        push(t, run, base)
                         seeded += 1
-                self._rr = seeded % nw
-                self._state["version"] += 1
-                self._cv.notify_all()
+                if self._parked:
+                    self._cv.notify(seeded)
         if run.n_tasks == 0:
-            # Completed outside the condvar: on_done hooks may take locks.
+            # Completed outside the lock: on_done hooks may take locks.
             self._complete(run)
         return run
 
     # -- worker loop -----------------------------------------------------
-    def _try_pop(self, wid: int,
-                 st: Optional[WorkerStats]) -> Optional[tuple]:
-        entry = self._deques[wid].pop()
-        if entry is not None:
-            return entry
-        if st is not None:
-            st.steal_attempts += 1
-        nw = self.n_workers
-        for off in range(1, nw):
-            entry = self._deques[(wid + off) % nw].pop()
-            if entry is not None:
-                if st is not None:
-                    st.steal_successes += 1
-                return entry
-        return None
-
     def _worker(self, wid: int) -> None:
-        my = self._deques[wid]
         cv = self._cv
-        stripes = self._stripes
-        n_stripes = self.n_stripes
-        state = self._state
+        pop = self._ready.pop
         st = self._wstats[wid] if self._wstats is not None else None
         task_failed = ExecutionCore.task_failed
         idles = self._idles
+        perf = time.perf_counter
+        task = run = failure = None     # the task to retire next
         while True:
-            # Unlocked reads are safe under the GIL; the condvar re-checks
-            # before parking, so no wakeup can be lost.
-            if self._shutdown:
-                return
-            version = state["version"]
-            entry = self._try_pop(wid, st)
-            if entry is None:
-                with cv:
-                    if not self._shutdown and state["version"] == version:
-                        pa = time.perf_counter()
+            with cv:
+                done = (self._retire(task, run, failure, st)
+                        if run is not None else None)
+                task = run = failure = None
+                while done is None:
+                    if self._shutdown:
+                        return
+                    entry = pop()
+                    if entry is None:
+                        pa = perf()
                         self._parked += 1
-                        # Timeout is a lost-wakeup safety net only.
-                        cv.wait(timeout=0.05)
+                        cv.wait()
                         self._parked -= 1
-                        pb = time.perf_counter()
+                        pb = perf()
                         if st is not None:
                             st.parks += 1
                             st.park_s += pb - pa
                         if idles is not None:
                             idles.append((wid, pa, pb))
+                        continue
+                    task, run = entry
+                    if not run.finalized:
+                        run.inflight += 1
+                        break
+                    # A failed run's queued tasks drain as no-ops.
+                    task = run = None
+            if done is not None:
+                # Emit before parking: a completion claimed here is
+                # nobody else's to signal.
+                self._complete(done)
                 continue
-
-            task, run = entry
-            with run.lock:
-                if run.finalized:
-                    continue        # failed run: drain queued tasks as no-ops
-                run.inflight += 1
+            if st is not None and len(st.depth_samples) >= _DEPTH_FLUSH:
+                self._flush_depth(wid, st)
             inj = run.injector
-            a = time.perf_counter()
+            a = perf()
             try:
                 if inj is not None:
                     inj.maybe_fail(task)
                 task.run()
             except Exception as exc:
-                self._fail_run(run, task_failed(task, exc, worker=wid))
+                failure = task_failed(task, exc, worker=wid)
                 continue
             except BaseException as exc:    # KeyboardInterrupt & co.
-                self._fail_run(run, exc)
+                failure = exc
                 continue
-            b = time.perf_counter()
+            b = perf()
             task.mark_done()
             run.events.append(TraceEvent(task.uid, task.name, wid,
                                          a - run.t0, b - run.t0, task.tag,
                                          task.priority, task.seq))
 
-            made_ready = 0
-            if not run.failed:
-                if st is not None:
-                    ra = time.perf_counter()
-                base = run.order_base
-                for s in run.release(task, stripes, n_stripes):
-                    my.push(s, run, base)      # locality: keep it local
-                    made_ready += 1
-                if st is not None:
-                    st.dep_s += time.perf_counter() - ra
-                    st.depth_samples.append((b - self._t0, float(len(my))))
-                    if len(st.depth_samples) >= _DEPTH_FLUSH:
-                        self._flush_depth(wid, st)
-            done = False
-            with run.lock:
-                run.inflight -= 1
-                run.remaining -= 1
-                run.n_executed += 1
-                if not run.finalized:
-                    if run.remaining == 0:
-                        run.finalized = True
-                        done = True
-                elif run._deferred and run.inflight == 0:
-                    # Last in-flight task of a failed run: completion was
-                    # deferred until no task could still write into the
-                    # run's (about to be recycled) workspace buffers.
-                    run._deferred = False
-                    done = True
-            with cv:
-                state["version"] += 1
-                if made_ready > 1:
-                    cv.notify(made_ready - 1)
-                elif made_ready == 0:
-                    # Nothing new published; peers may still be waiting
-                    # on tasks stolen from us — cheap notify.
-                    cv.notify(1)
-            if done:
-                self._complete(run)
+    def _retire(self, task, run: EngineRun,
+                failure: Optional[BaseException],
+                st: Optional[WorkerStats]) -> Optional[EngineRun]:
+        """Account for a task that returned or raised; called under the
+        pool lock.  Returns ``run`` when this retirement completes it:
+        the caller then owns the completion and must :meth:`_complete`
+        it outside the lock.
+
+        A failure finalizes the run (its queued tasks drain as no-ops)
+        but completion waits until no task of the run is executing: the
+        on_done hook may hand the run's workspace buffers to a
+        concurrent same-shape solve.
+        """
+        run.inflight -= 1
+        run.remaining -= 1
+        run.n_executed += 1
+        if failure is not None:
+            run.errors.append(failure)
+            run.finalized = True
+        elif not run.finalized:
+            ready = self._ready
+            if st is None:
+                made_ready = run.release(task, ready)
+            else:
+                ra = time.perf_counter()
+                made_ready = run.release(task, ready)
+                rb = time.perf_counter()
+                st.dep_s += rb - ra
+                st.depth_samples.append((rb - self._t0, float(len(ready))))
+            # This worker pops one of them itself.
+            if made_ready > 1 and self._parked:
+                self._cv.notify(made_ready - 1)
+            if run.remaining == 0:
+                run.finalized = True
+        if not run.finalized or run.inflight:
+            return None
+        self.runs_completed += 1
+        self._active.discard(run)
+        return run
 
     # -- run completion --------------------------------------------------
-    def _fail_run(self, run: EngineRun, failure: BaseException) -> None:
-        """Record a task failure.  Completion is deferred while peers are
-        still executing tasks of this run: the on_done hook may hand the
-        run's workspace buffers to a concurrent same-shape solve, so it
-        must not fire until no in-flight task can write into them."""
-        complete_now = False
-        with run.lock:
-            first = not run.finalized
-            run.finalized = True
-            run.errors.append(failure)
-            run.inflight -= 1
-            run.remaining -= 1
-            run.n_executed += 1
-            if first:
-                run._deferred = True
-            if run._deferred and run.inflight == 0:
-                run._deferred = False
-                complete_now = True
-        with self._cv:
-            self._state["version"] += 1
-            self._cv.notify_all()
-        if complete_now:
-            self._complete(run)
-
     def _complete(self, run: EngineRun) -> None:
-        """Pool bookkeeping, then the engine's single emission point."""
-        with self._cv:
-            self.runs_completed += 1
-            self._active.discard(run)
+        """The engine's single emission point, outside the pool lock
+        (``on_done`` hooks may take other locks)."""
         run.finish(self.n_workers, self._worker_names)
 
     # -- telemetry -------------------------------------------------------
@@ -370,14 +330,12 @@ class WorkerPool:
         with self._cv:
             stranded = list(self._active)
             self._active.clear()
-        for run in stranded:
-            with run.lock:
-                if run._done_event.is_set():
-                    continue
+            self.runs_completed += len(stranded)
+            for run in stranded:
                 run.errors.append(SchedulerError(
                     "worker pool shut down before run completed"))
                 run.finalized = True
-                run._deferred = False
+        for run in stranded:
             self._complete(run)
         rec = self.recorder
         if (rec is not None and getattr(rec, "enabled", False)
@@ -412,35 +370,32 @@ class WorkerPool:
 
 
 class ThreadScheduler:
-    """One-shot facade over the work-stealing thread substrate.
+    """One-shot facade over the thread substrate.
 
     ``run(graph)`` spins up a private :class:`WorkerPool`, submits the
     graph, joins the workers and returns the trace — the shape of the
     paper's 1-16 thread scaling study, where every measurement starts
-    and ends with a quiesced machine.  Scheduling semantics (per-worker
-    priority queues, striped dependency counting, stealing on empty,
-    condvar parking, first-failure cancellation) are exactly the pool's;
-    this class only adds the join-and-raise protocol and the idle-time
-    track on the returned trace.
+    and ends with a quiesced machine.  Scheduling semantics (one
+    priority queue under one lock, condvar parking, first-failure
+    cancellation) are exactly the pool's; this class only adds the
+    join-and-raise protocol and the idle-time track on the returned
+    trace.
     """
 
-    def __init__(self, n_workers: Optional[int] = None, n_stripes: int = 64,
-                 recorder=None, injector=None):
+    def __init__(self, n_workers: Optional[int] = None, recorder=None,
+                 injector=None):
         if n_workers is None:
             n_workers = default_thread_workers()
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.n_stripes = max(1, n_stripes)
         self.recorder = recorder
         self.injector = injector
         self.trace: Optional[Trace] = None
 
     def run(self, graph: TaskGraph) -> Trace:
-        graph.validate_acyclic()
-        pool = WorkerPool(self.n_workers, self.n_stripes,
-                          recorder=self.recorder, worker_names=None,
-                          record_idle=True)
+        pool = WorkerPool(self.n_workers, recorder=self.recorder,
+                          worker_names=None, record_idle=True)
         try:
             run = pool.submit(graph, recorder=self.recorder,
                               injector=self.injector)

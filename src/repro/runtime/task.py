@@ -29,6 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from ..errors import GraphError
+
 
 class Access(enum.Enum):
     """Data access qualifiers understood by the dependency analyzer."""
@@ -165,7 +167,16 @@ class Task:
 
     # -- dependency bookkeeping -------------------------------------------------
     def add_successor(self, succ: "Task") -> None:
-        """Add an edge self -> succ (caller must avoid duplicates per pair)."""
+        """Add an edge self -> succ (caller must avoid duplicates per pair).
+
+        Edges must point forward in submission order (``seq``), so every
+        graph is acyclic as built and no run has to re-check it.
+        """
+        if not 0 <= self.seq < succ.seq:
+            raise GraphError(
+                f"edge {self.name!r} (seq {self.seq}) -> {succ.name!r} "
+                f"(seq {succ.seq}) does not point forward in submission "
+                "order")
         self.successors.append(succ)
         succ.n_deps += 1
 

@@ -3,9 +3,9 @@
 The paper's task-flow formulation promises that scheduling is invisible
 to the numerics: any topological execution order produces bit-identical
 results.  These tests pin that promise across the sequential, threaded
-(work-stealing) and simulated backends, with and without eigenpair
-subsets, extra workspace, and the DAG template cache — plus a randomized
-stress test of the work-stealing scheduler itself.
+(one shared ready queue) and simulated backends, with and without
+eigenpair subsets, extra workspace, and the DAG template cache — plus a
+randomized stress test of the thread scheduler itself.
 """
 
 import threading
@@ -159,7 +159,7 @@ def test_dc_eigh_many_matches_individual_solves():
 
 
 # ---------------------------------------------------------------------------
-# Work-stealing scheduler stress
+# Thread scheduler stress
 
 
 def _random_dag(rng, n_tasks, record, lock):

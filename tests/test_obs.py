@@ -127,8 +127,6 @@ def test_thread_scheduler_counters(problem):
     res = _solve(d, e, collector=col, backend="threads", n_workers=3)
     c = col.counters
     assert c["scheduler.tasks"] == len(res.graph.tasks)
-    assert c.get("scheduler.steal.attempts", 0) >= c.get(
-        "scheduler.steal.successes", 0)
     assert "scheduler.park.count" in c
     assert c.get("scheduler.dep_resolve.time_s", -1) >= 0
     qd = col.hist_stats("scheduler.queue_depth")
@@ -314,12 +312,11 @@ def test_telemetry_block_and_summary(instrumented):
     block = telemetry_block(col, trace)
     assert block["n_tasks"] == len(trace.events)
     assert 0.0 <= block["idle_fraction"] <= 1.0
-    assert block["steal_attempts"] >= block["steal_successes"]
     assert block["merge_deflation_ratio"]["count"] > 0
     assert block["secular_iterations"]["count"] > 0
     assert block["workspace_high_water_bytes"] > 0
     text = telemetry_summary(col, trace)
-    for needle in ("steal attempts", "deflation ratio", "LAED4 iterations",
+    for needle in ("park cycles", "deflation ratio", "LAED4 iterations",
                    "solve phases", "workspace peak"):
         assert needle in text
     # Degenerate inputs stay usable.
@@ -352,7 +349,7 @@ def test_cli_trace_out(tmp_path, capsys):
     assert main(["trace", "--size", "150", "--backend", "threads",
                  "--cores", "3", "--out", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "steal attempts" in text and "LAED4 iterations" in text
+    assert "park cycles" in text and "LAED4 iterations" in text
     for fname in ("trace.jsonl", "trace_chrome.json", "trace.folded",
                   "gantt.txt", "summary.txt", "telemetry.prom"):
         assert (out / fname).exists(), fname

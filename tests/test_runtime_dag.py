@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import GraphError
 from repro.runtime import (INPUT, OUTPUT, INOUT, GATHERV,
                            DataHandle, TaskGraph)
 
@@ -136,3 +137,18 @@ def test_handle_reuse_across_graphs():
     t = g2.insert_task(noop, [(h, INPUT)])
     # Fresh graph resets tracking: no dangling dependency on the old task.
     assert t.n_deps == 0
+
+
+def test_backward_edge_rejected_at_add_successor():
+    # Edges must point forward in submission order, so a graph is
+    # acyclic as built and no scheduler re-checks it per run.
+    g = TaskGraph()
+    a = g.insert_task(noop, [(DataHandle(), OUTPUT)], name="a")
+    b = g.insert_task(noop, [(DataHandle(), OUTPUT)], name="b")
+    with pytest.raises(GraphError, match="forward"):
+        b.add_successor(a)
+    with pytest.raises(GraphError):
+        a.add_successor(a)
+    assert b.successors == [] and a.successors == [] and a.n_deps == 0
+    a.add_successor(b)
+    assert b.n_deps == 1
