@@ -5,7 +5,6 @@ costs 4n³/3 + Θ(n²) with the final merge ≈ n³ (75 %), the two
 penultimate merges n³/4 each... and that real matrices undercut the
 bound thanks to deflation ("less than O(n^2.4) in practice")."""
 
-import numpy as np
 import pytest
 
 from repro import dc_eigh

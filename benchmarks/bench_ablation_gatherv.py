@@ -6,9 +6,6 @@ constant number of accesses.  This bench sweeps the panel count and
 reports declared-accesses-per-task — flat for the GATHERV design,
 linearly growing for the emulated per-panel alternative."""
 
-import numpy as np
-import pytest
-
 from repro.core import DCContext, DCOptions, submit_dc
 from repro.runtime import TaskGraph
 from common import matrix, save_table

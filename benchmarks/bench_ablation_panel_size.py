@@ -5,8 +5,6 @@ cores (few tasks), tiny panels drown the runtime in per-task overhead.
 The bench sweeps nb on the simulated 16-core machine and checks the
 sweet spot lies strictly inside the range."""
 
-import pytest
-
 from common import save_table, solved_graph
 
 NBS = (16, 32, 64, 128, 256, 512)

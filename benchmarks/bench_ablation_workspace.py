@@ -6,8 +6,6 @@ buffer.  Paper: "the effect of this option can be seen on a machine
 with large number of cores".  The bench compares both modes on 16 and
 64 simulated cores."""
 
-import pytest
-
 from repro.runtime import Machine
 from common import save_table, solved_graph
 

@@ -9,9 +9,7 @@ concentrates on one node's cores and ships O(n²) eigenvector data over
 the wire, capping multi-node speedup — worse for high-deflation
 matrices whose work is all data movement."""
 
-import pytest
-
-from repro.runtime import ClusterMachine, Machine, Network, tree_placement
+from repro.runtime import ClusterMachine, tree_placement
 from common import PAPER_MACHINE, save_table, solved_graph
 
 

@@ -7,9 +7,7 @@ GEMMs to GPUs.  This bench runs the unchanged D&C task DAG on the
 simulated CPU machine vs the same machine plus one accelerator using
 the [16] offload split, across the three deflation regimes."""
 
-import pytest
-
-from repro.runtime import Accelerator, HeteroMachine, SimulatedMachine
+from repro.runtime import Accelerator, HeteroMachine
 from common import PAPER_MACHINE, save_table, solved_graph
 
 

@@ -10,10 +10,9 @@ reduction dominates the tridiagonal eigensolve, the paper's Sec. I
 framing for why the tridiagonal stage had been neglected."""
 
 import numpy as np
-import pytest
 
 from repro.core import DCContext, DCOptions, submit_dc, taskflow_tridiagonalize
-from repro.runtime import Machine, SequentialScheduler, SimulatedMachine, TaskGraph
+from repro.runtime import SequentialScheduler, SimulatedMachine, TaskGraph
 from common import PAPER_MACHINE, save_table
 
 

@@ -8,7 +8,6 @@ clusters.  The bench sweeps the subset size and reports the measured
 work reduction of each approach."""
 
 import numpy as np
-import pytest
 
 from repro import dc_eigh, mrrr_eigh
 from common import matrix, save_table

@@ -8,7 +8,6 @@ correctness against NumPy and shows the task-flow parallelism carries
 over (simulated 16-core speedup of the TGK eigensolve)."""
 
 import numpy as np
-import pytest
 
 from repro.core import DCOptions, DCContext, submit_dc, tgk_tridiagonal
 from repro.core.svd import svd_bidiagonal

@@ -7,11 +7,8 @@ application-class generators (glued Wilkinson, Lanczos-reduced PDE
 operators, clustered and graded spectra — see
 repro.matrices.application)."""
 
-import pytest
-
-from repro import dc_eigh, mrrr_eigh
-from repro.analysis import (mrrr_makespan, orthogonality_error,
-                            tridiagonal_residual)
+from repro import mrrr_eigh
+from repro.analysis import mrrr_makespan, orthogonality_error
 from repro.core import DCOptions
 from repro.matrices import application_matrices
 from common import PAPER_MACHINE, save_table

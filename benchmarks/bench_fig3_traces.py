@@ -8,9 +8,7 @@ only 4.3 s (≈ MKL, speedup 4.2) → (b) parallel merge kernels 1.8 s
 Here: type 4 at n = 1500 on the simulated 16-core machine.  Absolute
 times differ (different machine model); the *ratios* are the claim."""
 
-import pytest
-
-from common import PAPER_MACHINE, save_table, solved_graph
+from common import save_table, solved_graph
 
 
 def run_configs():

@@ -7,8 +7,6 @@ and the speedup is bandwidth-limited — but the schedule stays busy.
 (The paper's Fig. 4 uses its type 5; in our realization type 2 is the
 cleanest ~100 %-deflation case, as in the paper's own Fig. 5 legend.)"""
 
-import pytest
-
 from common import save_table, solved_graph
 
 

@@ -5,8 +5,6 @@ matrices are memory-bound — ~4 threads saturate the first socket's
 bandwidth and the speedup only recovers once the second socket is used
 (> 8 threads)."""
 
-import pytest
-
 from common import save_table, solved_graph
 
 THREADS = (1, 2, 4, 8, 12, 16)

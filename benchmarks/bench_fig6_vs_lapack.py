@@ -8,8 +8,6 @@ multithreaded BLAS already covers the cubic part).
 Here both models run on the same simulated machine: the task-flow DAG
 vs the fork/join (parallel-GEMM-only, level-synchronized) DAG."""
 
-import pytest
-
 from common import save_table, solved_graph
 
 SIZES = (600, 1200, 1800)

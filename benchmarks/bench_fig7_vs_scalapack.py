@@ -6,8 +6,6 @@ smaller than against LAPACK — around 2× for ≥ 20 % deflation, up to 4×
 for ~100 % deflation (where pdstedc pays data exchanges for work the
 task-flow does as local copies)."""
 
-import pytest
-
 from repro.baselines import scalapack_dc_makespan
 from common import PAPER_MACHINE, matrix, save_table, solved_graph
 

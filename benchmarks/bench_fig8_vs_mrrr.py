@@ -9,8 +9,6 @@ Both solvers are timed on the same simulated 16-core machine: the D&C
 task-flow DAG vs the replayed MR³-SMP work tree (real per-matrix
 deflation/cluster structure in both)."""
 
-import pytest
-
 from repro.analysis import mrrr_makespan
 from common import PAPER_MACHINE, matrix, save_table, solved_graph
 

@@ -5,7 +5,6 @@ residual ‖T − VΛVᵀ‖/(‖T‖n); D&C is consistently more accurate than
 MRRR, by one to two digits (theory: O(√n·ε) vs O(n·ε))."""
 
 import numpy as np
-import pytest
 
 from repro import dc_eigh, mrrr_eigh
 from repro.analysis import orthogonality_error, tridiagonal_residual
@@ -42,7 +41,6 @@ def test_fig9_accuracy(benchmark):
     dc_orth = np.array([v[0] for v in acc.values()])
     mr_orth = np.array([v[2] for v in acc.values()])
     dc_res = np.array([v[1] for v in acc.values()])
-    mr_res = np.array([v[3] for v in acc.values()])
     n = N
     eps = np.finfo(float).eps
     # Everything is numerically sane.

@@ -12,11 +12,12 @@ series per solver:
 
 * **throughput** — wall time of one warm solve (threads backend for the
   D&C modes; MRRR is sequential).  Informational on shared runners.
-* **tracked high water** — the ``workspace.high_water_bytes`` gauge the
-  telemetry subsystem records at the root merge (D&C modes), i.e. the
-  *observed* auxiliary peak, not a model; MRRR is reported from the
-  ``analysis.memory`` model (it allocates per-representation vectors,
-  nothing is gauged).  Deterministic.
+* **tracked high water** — the ``workspace.high_water_bytes`` gauge of
+  the solve's telemetry (``repro.obs.solve_metrics``; D&C modes): the
+  memory model evaluated at the root merge's *observed* secular rank
+  k, not the worst case; MRRR is reported from the ``analysis.memory``
+  model alone (it allocates per-representation vectors, nothing is
+  gauged).  Deterministic.
 
 The acceptance gate (checked by ``--smoke`` against the committed
 ``BENCH_jobz.json``): the n=5000 tracked high water of ``dc-N`` must be
@@ -47,7 +48,7 @@ import numpy as np  # noqa: E402
 from repro import dc_eigh, mrrr_eigh  # noqa: E402
 from repro.analysis import mrrr_workspace_bytes  # noqa: E402
 from repro.core import DCOptions  # noqa: E402
-from repro.obs import Collector  # noqa: E402
+from repro.obs import solve_metrics  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO_ROOT, "BENCH_jobz.json")
@@ -67,12 +68,11 @@ SMOKE_N = 800
 
 def _dc(d, e, jobz: str) -> tuple[float, int]:
     """(warm wall seconds, tracked high-water bytes) of one D&C solve."""
-    col = Collector()
-    opts = DCOptions(jobz=jobz, telemetry=col)
     t0 = time.perf_counter()
-    dc_eigh(d, e, options=opts, backend="threads")
+    res = dc_eigh(d, e, options=DCOptions(jobz=jobz), backend="threads",
+                  full_result=True)
     dt = time.perf_counter() - t0
-    return dt, int(col.gauges["workspace.high_water_bytes"])
+    return dt, int(solve_metrics(res).gauges["workspace.high_water_bytes"])
 
 
 def measure_size(n: int, with_mrrr: bool = True) -> dict:

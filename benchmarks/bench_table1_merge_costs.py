@@ -5,9 +5,6 @@ real solves: for the final merge of each matrix we report n, k and the
 model's operation counts, and check the measured GEMM/secular work
 scales as the model predicts (Θ(nk²) and Θ(k²))."""
 
-import numpy as np
-import pytest
-
 from repro import dc_eigh
 from repro.analysis import merge_step_costs
 from common import matrix, save_table

@@ -4,8 +4,6 @@ Generates every type, solves it with the task-flow D&C and reports the
 deflation behaviour — confirming the regimes the paper attributes to
 types 2/3/4 (~100 %, ~50 %, ~20 % deflation at the dominant merges)."""
 
-import numpy as np
-
 from repro import dc_eigh
 from repro.analysis import orthogonality_error, tridiagonal_residual
 from repro.matrices import MATRIX_TYPES, matrix_description

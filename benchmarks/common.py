@@ -86,19 +86,18 @@ def solve_telemetry(d: np.ndarray, e: np.ndarray, *,
                     options: DCOptions | None = None,
                     backend: str = "threads",
                     n_workers: int = 4) -> dict:
-    """Run one instrumented solve and return its compact telemetry block.
+    """Run one solve and return the compact telemetry block read off its
+    record (:func:`repro.obs.solve_metrics`).
 
     The convenience entry benchmarks use to populate the ``telemetry``
     envelope of :func:`write_bench_json`.
     """
     from repro.core.solver import dc_eigh
-    from repro.obs import Collector, telemetry_block
+    from repro.obs import solve_metrics, telemetry_block
 
-    col = Collector()
-    opts = (options or DCOptions()).with_(telemetry=col)
-    res = dc_eigh(d, e, options=opts, backend=backend,
+    res = dc_eigh(d, e, options=options, backend=backend,
                   n_workers=n_workers, full_result=True)
-    return telemetry_block(col, res.trace)
+    return telemetry_block(solve_metrics(res), res.trace)
 
 
 def load_bench_json(path: str) -> dict:

@@ -9,9 +9,6 @@ the model against measurement.
 
 from __future__ import annotations
 
-import math
-from typing import Mapping
-
 import numpy as np
 
 from ..core.merge import MergeStats

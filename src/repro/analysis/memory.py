@@ -59,8 +59,9 @@ def solve_high_water_bytes(n: int, k_root: int,
 
     Same accounting as :func:`dc_workspace_bytes` but with the root
     merge's *actual* secular rank ``k_root`` (deflation shrinks the
-    dominant blocks below the worst case) — the telemetry subsystem
-    records this as ``workspace.high_water_bytes``.
+    dominant blocks below the worst case) — the solve's telemetry
+    (:func:`repro.obs.solve_metrics`) reports this as
+    ``workspace.high_water_bytes``.
     """
     if jobz == "N":
         return _D * (18 * n + min(k_root, n // 2) * _nb_default(n))

@@ -9,7 +9,7 @@ giving the simulated MRRR makespans of the Fig. 8 benchmark.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 

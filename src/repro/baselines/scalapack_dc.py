@@ -81,7 +81,6 @@ def scalapack_dc_makespan(d: np.ndarray, e: np.ndarray, *,
 
     flop_gemm = m.core_gflops * 1e9
     flop_kern = flop_gemm * m.kernel_efficiency
-    copy_bw = m.stream_bw
 
     total = 0.0
     # Leaf level: leaves list-scheduled onto ranks, QR iteration each.

@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``solve``  — solve a Table III matrix with a chosen solver and report
              timing + the paper's accuracy metrics.
-``trace``  — run one instrumented solve (simulated machine by default,
+``trace``  — run one solve (simulated machine by default,
              real threads with ``--backend threads``), print the ASCII
              execution trace (Figs. 3-4 style) plus the telemetry
              summary, and optionally dump the JSONL event log, the
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--n", type=int, default=10000)
 
     t = sub.add_parser("trace",
-                       help="instrumented solve: gantt, telemetry summary, "
+                       help="traced solve: gantt, telemetry summary, "
                             "and JSONL/Chrome/Prometheus export")
     t.add_argument("--type", type=int, default=4, choices=range(1, 16),
                    metavar="1-15")
@@ -86,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="matrix size (alias of --n)")
     t.add_argument("--cores", type=int, default=16)
     t.add_argument("--backend", default="simulated", choices=QUARK_BACKENDS,
-                   help="runtime backend to trace (threads exposes the "
-                        "park and queue-depth counters)")
+                   help="runtime backend to trace (every backend "
+                        "reports the ready-set depth; threads also "
+                        "reports worker parking)")
     t.add_argument("--config", default="full-taskflow",
                    choices=["sequential", "parallel-gemm", "parallel-merge",
                             "full-taskflow"],
@@ -229,31 +230,30 @@ def _cmd_trace(args) -> int:
     from . import dc_eigh
     from .core.options import FIG3_CONFIGS
     from .matrices import test_matrix
-    from .obs import (Collector, chrome_trace, collapsed_stacks,
-                      prometheus_text, telemetry_summary, write_jsonl)
+    from .obs import (chrome_trace, collapsed_stacks, prometheus_text,
+                      solve_metrics, telemetry_summary, write_jsonl)
 
     n = args.size if args.size is not None else args.n
     d, e = test_matrix(args.type, n, seed=args.seed)
-    collector = Collector()
-    opts = FIG3_CONFIGS[args.config].with_(minpart=max(32, n // 8),
-                                           telemetry=collector)
+    opts = FIG3_CONFIGS[args.config].with_(minpart=max(32, n // 8))
     if getattr(args, "nb", None) is not None:
         opts = opts.with_(nb=args.nb)
     if getattr(args, "jobz", "V") != "V":
         opts = opts.with_(jobz=args.jobz)
     res = dc_eigh(d, e, options=opts, backend=args.backend,
                   n_workers=args.cores, full_result=True)
+    metrics = solve_metrics(res)
     gantt = res.trace.gantt(width=args.width)
-    summary = telemetry_summary(collector, res.trace)
+    summary = telemetry_summary(metrics, res.trace)
     print(gantt)
     print()
     print(summary)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "trace.jsonl"), "w") as fh:
-            n_lines = write_jsonl(fh, collector, res.trace)
+            n_lines = write_jsonl(fh, metrics, res.trace)
         with open(os.path.join(args.out, "trace_chrome.json"), "w") as fh:
-            json.dump(chrome_trace(res.trace, collector), fh)
+            json.dump(chrome_trace(res.trace, metrics), fh)
         with open(os.path.join(args.out, "trace.folded"), "w") as fh:
             fh.write(collapsed_stacks(res.trace))
         with open(os.path.join(args.out, "gantt.txt"), "w") as fh:
@@ -261,7 +261,7 @@ def _cmd_trace(args) -> int:
         with open(os.path.join(args.out, "summary.txt"), "w") as fh:
             fh.write(summary + "\n")
         with open(os.path.join(args.out, "telemetry.prom"), "w") as fh:
-            fh.write(prometheus_text(collector, res.trace))
+            fh.write(prometheus_text(metrics, res.trace))
         print(f"\n[wrote trace.jsonl ({n_lines} lines), trace_chrome.json, "
               f"trace.folded, gantt.txt, summary.txt, telemetry.prom to "
               f"{args.out}]")

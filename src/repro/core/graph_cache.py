@@ -30,7 +30,6 @@ matrix-dependent work on the matrix-independent DAG.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Callable, Optional
 
@@ -226,8 +225,8 @@ class GraphTemplateCache:
     Long-running sessions solve streams of mixed shapes; LRU eviction
     (every hit refreshes its entry) keeps the hot templates resident
     where the earlier FIFO policy would age them out by insertion time.
-    ``hits``/``misses``/``evictions`` are cache-lifetime totals, also
-    exported per solve through the obs ``telemetry_block``.
+    ``hits``/``misses``/``evictions`` are cache-lifetime totals; a
+    session's ``stats()`` carries them into :func:`repro.obs.solve_metrics`.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -248,7 +247,7 @@ class GraphTemplateCache:
                 self._templates.move_to_end(key)
             return tpl
 
-    def put(self, template: GraphTemplate, recorder=None) -> None:
+    def put(self, template: GraphTemplate) -> None:
         with self._lock:
             if template.key in self._templates:
                 self._templates.move_to_end(template.key)
@@ -257,8 +256,6 @@ class GraphTemplateCache:
                 # OrderedDict: get() refreshes recency on every hit).
                 self._templates.popitem(last=False)
                 self.evictions += 1
-                if recorder is not None and recorder.enabled:
-                    recorder.add("graph_cache.evictions")
             self._templates[template.key] = template
 
     def stats(self) -> dict:
@@ -276,29 +273,15 @@ class GraphTemplateCache:
 
         On a miss the graph is built the normal way (``build_tree`` +
         ``submit_dc``) and its skeleton is cached for the next solve of
-        the same shape.  Hits/misses and build/instantiation time are
-        recorded into the solve's telemetry sink when one is attached.
+        the same shape.
         """
-        obs = ctx.obs
         tpl = self.get(key)
         if tpl is not None:
-            if not obs.enabled:
-                return instantiate(tpl, ctx)
-            obs.add("graph_cache.hits")
-            t0 = time.perf_counter()
-            out = instantiate(tpl, ctx)
-            obs.observe("graph_cache.instantiate_s",
-                        time.perf_counter() - t0)
-            return out
-        if obs.enabled:
-            obs.add("graph_cache.misses")
-            t0 = time.perf_counter()
+            return instantiate(tpl, ctx)
         graph = TaskGraph()
         tree = build_tree(ctx.n, ctx.opts.minpart)
         info = submit_dc(graph, ctx, tree)
-        self.put(build_template(graph, info, key), recorder=obs)
-        if obs.enabled:
-            obs.observe("graph_cache.build_s", time.perf_counter() - t0)
+        self.put(build_template(graph, info, key))
         return graph, info
 
     def clear(self) -> None:

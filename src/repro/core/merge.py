@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ from ..kernels.stabilize import (eigenvector_columns, local_w_product,
 from ..kernels.steqr import steqr, steqr_rows
 from ..kernels.strips import (permute_strip, rotate_strip_columns,
                               stack_boundary_rows, strip_row_products)
-from ..obs.recorder import NULL_RECORDER
 from .options import DCOptions
 from .tree import Node
 
@@ -59,7 +58,8 @@ def panel_ranges(n: int, nb: int) -> list[tuple[int, int]]:
 
 @dataclass
 class MergeStats:
-    """Per-merge record used for the Table I / complexity analyses."""
+    """Per-merge record used for the Table I / complexity analyses and
+    the solve's telemetry (:func:`repro.obs.solve_metrics`)."""
 
     n: int = 0
     k: int = 0
@@ -68,10 +68,13 @@ class MergeStats:
     lo: int = 0
     hi: int = 0
     fallback: bool = False
+    #: LAED4 sweeps of each secular root, in root order (roots of a
+    #: panel whose solve raised are missing).
+    secular_iterations: list[int] = field(default_factory=list)
 
     @property
     def deflation_ratio(self) -> float:
-        return 1.0 - self.k / self.n if self.n else 0.0
+        return (self.n - self.k) / self.n if self.n else 0.0
 
 
 class DCContext:
@@ -92,10 +95,6 @@ class DCContext:
             raise InputError("tridiagonal input contains non-finite entries")
         self.n = n
         self.opts = opts
-        # Telemetry sink: the shared no-op unless DCOptions(telemetry=...)
-        # was given.  Every metric below is guarded by ``obs.enabled``.
-        self.obs = opts.telemetry if opts.telemetry is not None \
-            else NULL_RECORDER
         self.d_in = d
         self.e_in = e
         # Subset computation ([6]-style): indices of wanted eigenpairs.
@@ -274,11 +273,11 @@ class MergeState:
         self.X: Optional[np.ndarray] = None
         self.wanted_stored: Optional[np.ndarray] = None
         self.stats = MergeStats(lo=node.lo, hi=node.hi)
-        # Secular sweep counts, accumulated per panel (keyed by p0) and
-        # reduced into ``stats`` by t_reduce_w: panel tasks run
-        # concurrently under the threads backend, so a shared
-        # read-modify-write on stats.secular_sweeps would race.
-        self._sweeps: dict[int, int] = {}
+        # Secular sweep counts (the panel's, and each root's),
+        # accumulated per panel (keyed by p0) and reduced into ``stats``
+        # by t_reduce_w: panel tasks run concurrently under the threads
+        # backend, so a shared read-modify-write on stats would race.
+        self._sweeps: dict[int, tuple[int, np.ndarray]] = {}
         # Graceful degradation: when the secular solve of this merge
         # fails (no convergence / non-finite roots), the merge falls
         # back to STEQR on its subproblem.  The rewrite must happen
@@ -369,9 +368,6 @@ class MergeState:
         # Rewrite the strip too: the parent's z reads it.
         ctx.S[:, lo:hi] = rows
         self.stats.fallback = True
-        obs = ctx.obs
-        if obs.enabled:
-            obs.add("solve.fallbacks")
 
     # -- kernels ------------------------------------------------------------
     def t_compute_deflation(self) -> None:
@@ -411,27 +407,6 @@ class MergeState:
         self.stats.k = k
         self.stats.n_rotations = len(self.defl.rotations)
         ctx._merge_stats[(self.lo, self.hi)] = self.stats
-        obs = ctx.obs
-        if obs.enabled:
-            defl = self.defl
-            n_rot = len(defl.rotations)
-            # Deflation ratio split by type: Givens pairs (close
-            # eigenvalues) vs negligible-z components.
-            obs.observe("merge.deflation_ratio", defl.deflation_ratio)
-            obs.observe("merge.deflation_ratio.givens", n_rot / defl.n)
-            obs.observe("merge.deflation_ratio.smallz",
-                        (defl.n_deflated - n_rot) / defl.n)
-            obs.observe_many("merge.givens_chain_len",
-                             (len(c) for c in self.chains))
-            obs.add("merge.rotations", n_rot)
-            obs.add("merge.count")
-            obs.gauge_max("workspace.x_block_bytes", 8 * self.X.size)
-            if self.n == ctx.n:       # root merge: the solve's peak
-                from ..analysis.memory import solve_high_water_bytes
-                obs.gauge_max("workspace.high_water_bytes",
-                              solve_high_water_bytes(
-                                  ctx.n, k, ctx.opts.extra_workspace,
-                                  jobz=ctx.opts.jobz))
 
     def t_apply_givens(self, group: int, n_groups: int) -> None:
         """Apply the deflating rotations of chains ``group mod n_groups``.
@@ -544,15 +519,16 @@ class MergeState:
         if roots.size == 0:
             return
         d = self.defl
-        obs = self.ctx.obs
         try:
-            res = solve_secular(d.dlamda, d.zsec, d.rho, index=roots,
-                                recorder=obs if obs.enabled else None)
+            res = solve_secular(d.dlamda, d.zsec, d.rho, index=roots)
         except Exception as exc:
             # Graceful degradation: flag the merge for the STEQR
             # fallback instead of failing the whole solve.
             self._mark_secular_failure(exc)
             return
+        # Per-panel accumulation (distinct keys): reduced by t_reduce_w.
+        # Counted before the finiteness check: the sweeps ran.
+        self._sweeps[p0] = (res.iterations, res.root_iterations)
         if not (np.isfinite(res.tau).all() and np.isfinite(res.lam).all()):
             self._mark_secular_failure(ConvergenceError(
                 f"secular solve produced non-finite roots on merge "
@@ -561,8 +537,6 @@ class MergeState:
         self.orig[roots] = res.orig
         self.tau[roots] = res.tau
         self.lam[roots] = res.lam
-        # Per-panel accumulation (distinct keys): reduced by t_reduce_w.
-        self._sweeps[p0] = res.iterations
 
     def t_local_w_panel(self, p0: int, p1: int, pid: int) -> None:
         if self.secular_failed:
@@ -586,7 +560,11 @@ class MergeState:
         # All LAED4 panels are ordered before ReduceW (through the
         # ComputeLocalW -> hW GATHERV group), so this reduction is safe
         # and `secular_failed` is final here.
-        self.stats.secular_sweeps = sum(self._sweeps.values())
+        panels = [self._sweeps[p] for p in sorted(self._sweeps)]
+        self.stats.secular_sweeps = sum(sweeps for sweeps, _ in panels)
+        if panels:
+            self.stats.secular_iterations = np.concatenate(
+                [iters for _, iters in panels]).tolist()
         if self.secular_failed:
             return
         if ctx.subset is not None and self.n == ctx.n:

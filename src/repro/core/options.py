@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .costs import SECULAR_SWEEPS
@@ -79,14 +79,6 @@ class DCOptions:
         (n, nb, minpart, variant) shape skip ``build_tree`` +
         ``submit_dc`` and only rebind fresh per-solve state onto the
         cached task/dependency skeleton.  Numerics never change.
-    ``telemetry``
-        Optional :class:`~repro.obs.Collector` (or any
-        :class:`~repro.obs.Recorder`).  When set, the solver, schedulers
-        and kernels record spans, scheduler/cache counters and
-        numeric-health metrics into it; ``None`` (default) is the
-        guaranteed zero-overhead path — numerics are bitwise identical
-        either way.  Excluded from equality/hashing: it is a sink, not a
-        tuning knob.
     ``fault_injection``
         Optional :class:`~repro.runtime.faults.FaultSpec` — a
         deterministic test hook that makes the selected task(s) raise
@@ -132,7 +124,6 @@ class DCOptions:
     fork_join: bool = False
     deflation_tol_factor: float = 8.0
     reuse_graph: bool = False
-    telemetry: Any = field(default=None, compare=False)
     fault_injection: Any = None
     adaptive_nb: bool = False
     target_parallelism: int | None = None

@@ -18,8 +18,8 @@ independent (sub)problems share one set of cores without barriers.  A
   allocation off the per-solve path.
 
 ``dc_eigh`` and ``dc_eigh_many`` are thin wrappers over a one-shot
-session, so single-solve behavior — numerics, telemetry spans, error
-types — is unchanged; results from concurrent submissions are bitwise
+session, so single-solve behavior — numerics, traces, error types — is
+unchanged; results from concurrent submissions are bitwise
 identical to one-shot solves (any topological order of the fused DAG is
 valid, and every recycled buffer location is written before it is read).
 """
@@ -37,7 +37,6 @@ from ..errors import (ReproError, SchedulerError, validate_subset,
                       validate_tridiagonal)
 from ..obs.live import (SessionMetrics, resolve_postmortem_dir,
                         write_postmortem)
-from ..obs.recorder import NULL_RECORDER
 from ..runtime.dag import TaskGraph
 from ..runtime.faults import FaultInjector
 from ..runtime.quark import Quark, validate_backend
@@ -71,15 +70,14 @@ class WorkspacePool:
     for every distinct ``k`` it ever saw.
 
     ``high_water_bytes`` tracks the peak bytes owned by the arena
-    (free + lent out) and feeds the existing
-    ``workspace.high_water_bytes`` telemetry gauge.
+    (free + lent out); :meth:`stats` reports it with the hit/miss
+    counters.
     """
 
     def __init__(self, max_free_per_shape: int = 8,
-                 max_free_bytes: int = 256 * 2 ** 20, recorder=None):
+                 max_free_bytes: int = 256 * 2 ** 20):
         self.max_free_per_shape = max_free_per_shape
         self.max_free_bytes = max_free_bytes
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._lock = threading.Lock()
         # Shape -> free buffers, in least-recently-used shape order.
         self._free: OrderedDict[tuple[int, ...], list[np.ndarray]] = \
@@ -94,7 +92,6 @@ class WorkspacePool:
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """A Fortran-ordered float64 buffer of ``shape`` (zeroed only
         when freshly allocated; recycled buffers come back dirty)."""
-        rec = self.recorder
         with self._lock:
             stack = self._free.get(shape)
             if stack:
@@ -105,18 +102,12 @@ class WorkspacePool:
                     del self._free[shape]
                 self.free_bytes -= buf.nbytes
                 self.hits += 1
-                if rec.enabled:
-                    rec.add("workspace_pool.hits")
                 return buf
             self.misses += 1
             nbytes = 8 * int(np.prod(shape))
             self.owned_bytes += nbytes
             if self.owned_bytes > self.high_water_bytes:
                 self.high_water_bytes = self.owned_bytes
-            if rec.enabled:
-                rec.add("workspace_pool.misses")
-                rec.gauge_max("workspace.high_water_bytes",
-                              self.high_water_bytes)
         return np.zeros(shape, order="F")
 
     def release(self, buf: Optional[np.ndarray]) -> None:
@@ -294,13 +285,10 @@ class SolverSession:
         if not _one_shot:
             opts = opts.with_(reuse_graph=True)
         self.options = opts
-        self._obs = opts.telemetry if opts.telemetry is not None \
-            else NULL_RECORDER
         # A session pools workers (threads) and workspaces; a one-shot
         # solve (dc_eigh) does neither.
         self._persistent = backend == "threads" and not _one_shot
-        self._workspace = None if _one_shot else \
-            WorkspacePool(recorder=opts.telemetry)
+        self._workspace = None if _one_shot else WorkspacePool()
         self._pool = None
         self._lock = threading.Lock()
         self._outstanding: set[SolveHandle] = set()
@@ -433,20 +421,17 @@ class SolverSession:
         self.close()
 
     # -- internals -------------------------------------------------------
-    def _instantiate(self, ctx: DCContext, opts: DCOptions, obs
+    def _instantiate(self, ctx: DCContext, opts: DCOptions
                      ) -> tuple[TaskGraph, DCGraphInfo]:
         """The graph for one solve: template cache hit or fresh analysis."""
         if opts.reuse_graph:
             key = template_key(ctx.n, opts,
                                None if ctx.subset is None
                                else ctx.subset.shape[0])
-            with obs.span("graph.instantiate", key=key):
-                return graph_template_cache.get_or_build(ctx, key)
-        with obs.span("graph.build"):
-            graph = TaskGraph()
-            tree = build_tree(ctx.n, opts.minpart)
-            info = submit_dc(graph, ctx, tree)
-            return graph, info
+            return graph_template_cache.get_or_build(ctx, key)
+        graph = TaskGraph()
+        info = submit_dc(graph, ctx, build_tree(ctx.n, opts.minpart))
+        return graph, info
 
     def _finish_solve(self, handle: SolveHandle, ctx: Optional[DCContext],
                       opts: DCOptions, error: Optional[BaseException],
@@ -505,29 +490,20 @@ class SolverSession:
         """Eager execution on the calling thread (sequential/simulated
         backends and one-shot sessions) — the classic ``dc_eigh`` path,
         plus workspace pooling when the session has an arena."""
-        obs = opts.telemetry if opts.telemetry is not None else NULL_RECORDER
-        n = d.shape[0]
         handle = SolveHandle(full=full_result)
         ctx = None
         info = None
         trace = None
         try:
-            with obs.span("solve", n=n, backend=self.backend):
-                ctx = DCContext(d, e, opts, subset=subset,
-                                workspace=self._workspace)
-                quark = Quark(self.backend, n_workers=self.n_workers,
-                              machine=self.machine, recorder=opts.telemetry,
-                              fault_injection=opts.fault_injection)
-                graph, info = self._instantiate(ctx, opts, obs)
-                quark.graph = graph
-                if obs.enabled:
-                    obs.add("solve.count")
-                    obs.add(f"solve.jobz.{opts.jobz}")
-                    obs.add("solve.tasks_submitted", len(graph.tasks))
-                with obs.span("execute"):
-                    trace = quark.barrier()
-                with obs.span("finalize"):
-                    lam, V = ctx.result()
+            ctx = DCContext(d, e, opts, subset=subset,
+                            workspace=self._workspace)
+            quark = Quark(self.backend, n_workers=self.n_workers,
+                          machine=self.machine,
+                          fault_injection=opts.fault_injection)
+            graph, info = self._instantiate(ctx, opts)
+            quark.graph = graph
+            trace = quark.barrier()
+            lam, V = ctx.result()
             ctx.release_workspace(info.states.values(), keep_result=True)
             if full_result:
                 from .solver import DCResult
@@ -549,57 +525,47 @@ class SolverSession:
     def _submit_pool(self, d, e, subset, full_result, opts) -> SolveHandle:
         """Fuse one problem's instantiated graph into the persistent
         pool's running super-DAG."""
-        obs = opts.telemetry if opts.telemetry is not None else NULL_RECORDER
-        with obs.span("solve.submit", n=d.shape[0], backend=self.backend):
-            ctx = DCContext(d, e, opts, subset=subset,
-                            workspace=self._workspace)
-            graph, info = self._instantiate(ctx, opts, obs)
-            injector = (FaultInjector(opts.fault_injection)
-                        if opts.fault_injection is not None else None)
-            if obs.enabled:
-                obs.add("solve.count")
-                obs.add(f"solve.jobz.{opts.jobz}")
-                obs.add("solve.tasks_submitted", len(graph.tasks))
-            handle = SolveHandle(ctx=ctx, graph=graph, info=info,
-                                 full=full_result)
-            # Bound the live workspace footprint; released by the pool's
-            # completion hook (a worker thread), so a blocked submit
-            # always unblocks.
-            self._slots.acquire()
+        ctx = DCContext(d, e, opts, subset=subset, workspace=self._workspace)
+        graph, info = self._instantiate(ctx, opts)
+        injector = (FaultInjector(opts.fault_injection)
+                    if opts.fault_injection is not None else None)
+        handle = SolveHandle(ctx=ctx, graph=graph, info=info,
+                             full=full_result)
+        # Bound the live workspace footprint; released by the pool's
+        # completion hook (a worker thread), so a blocked submit always
+        # unblocks.
+        self._slots.acquire()
 
-            def _on_done(run, h=handle, o=opts):
-                h._ctx.release_workspace(h._info.states.values(),
-                                         keep_result=not run.failed)
-                h.t_done = time.perf_counter()
-                with self._lock:
-                    self._outstanding.discard(h)
-                self._slots.release()
-                self._finish_solve(h, h._ctx, o,
-                                   run.errors[0] if run.failed else None,
-                                   run.trace)
+        def _on_done(run, h=handle, o=opts):
+            h._ctx.release_workspace(h._info.states.values(),
+                                     keep_result=not run.failed)
+            h.t_done = time.perf_counter()
+            with self._lock:
+                self._outstanding.discard(h)
+            self._slots.release()
+            self._finish_solve(h, h._ctx, o,
+                               run.errors[0] if run.failed else None,
+                               run.trace)
 
-            try:
-                with self._lock:
-                    # Re-checked under the lock: a concurrent close()
-                    # either sees this handle in _outstanding or this
-                    # submit raises — never a silently stranded handle.
-                    if self._closed:
-                        raise SchedulerError("session is closed")
-                    if self._pool is None:
-                        self._pool = WorkerPool(self.n_workers,
-                                                recorder=opts.telemetry)
-                    pool = self._pool
-                    self._outstanding.add(handle)
-                handle._run = pool.submit(graph, recorder=opts.telemetry,
-                                          injector=injector,
-                                          on_done=_on_done)
-            except BaseException:
-                # Rejected (e.g. close() won the race): nothing ran, so
-                # the buffers the context took go straight back.
-                ctx.release_workspace(info.states.values(),
-                                      keep_result=False)
-                with self._lock:
-                    self._outstanding.discard(handle)
-                self._slots.release()
-                raise
+        try:
+            with self._lock:
+                # Re-checked under the lock: a concurrent close() either
+                # sees this handle in _outstanding or this submit raises
+                # — never a silently stranded handle.
+                if self._closed:
+                    raise SchedulerError("session is closed")
+                if self._pool is None:
+                    self._pool = WorkerPool(self.n_workers)
+                pool = self._pool
+                self._outstanding.add(handle)
+            handle._run = pool.submit(graph, injector=injector,
+                                      on_done=_on_done)
+        except BaseException:
+            # Rejected (e.g. close() won the race): nothing ran, so the
+            # buffers the context took go straight back.
+            ctx.release_workspace(info.states.values(), keep_result=False)
+            with self._lock:
+                self._outstanding.discard(handle)
+            self._slots.release()
+            raise
         return handle

@@ -117,7 +117,7 @@ def dc_eigh(d: np.ndarray, e: np.ndarray, *,
 
     Implemented as a one-shot :class:`~repro.core.session.SolverSession`
     (no persistent pool, no workspace arena), so single-solve numerics
-    and telemetry are byte-for-byte what they always were; long-running
+    and traces are byte-for-byte what they always were; long-running
     callers should hold a session instead and amortize worker spin-up
     and workspace allocation across solves.
     """

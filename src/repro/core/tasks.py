@@ -107,7 +107,6 @@ def submit_dc(graph: TaskGraph, ctx: DCContext,
             cost=costs.cost_stedc(leaf.n))
 
     # --- merges, bottom-up with optional level barriers ------------------
-    rec = ctx.obs
     prev_level_barrier: Optional[DataHandle] = None
     for level_nodes in tree.merges_by_level():
         if opts.level_barrier:
@@ -119,9 +118,6 @@ def submit_dc(graph: TaskGraph, ctx: DCContext,
             ins(lambda: None, acc(deps + [(hbar, OUTPUT)]),
                 name="LevelBarrier", cost=TaskCost())
             prev_level_barrier = hbar
-        if rec.enabled and level_nodes:
-            rec.observe("schedule.level_nb",
-                        float(opts.node_nb(level_nodes[0].n, n)))
         for node in level_nodes:
             _submit_merge(ins, info, node, acc, prev_level_barrier)
 

@@ -7,7 +7,7 @@ eigenproblem solved by QR iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = ["Node", "build_tree"]

@@ -22,7 +22,6 @@ before using a band eigensolver".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

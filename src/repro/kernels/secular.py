@@ -52,6 +52,7 @@ class SecularRoots:
     tau: np.ndarray    # (m,) float — offset from that pole
     lam: np.ndarray    # (m,) float — materialized eigenvalues
     iterations: int    # total sweeps used (diagnostics / Table I)
+    root_iterations: np.ndarray   # (m,) int — sweeps each root took
 
 
 def secular_function(dlamda: np.ndarray, z: np.ndarray, rho: float,
@@ -78,7 +79,7 @@ def eigenvalues_from_roots(dlamda: np.ndarray, orig: np.ndarray,
 
 def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
                   index: np.ndarray | None = None,
-                  max_iter: int = 400, recorder=None) -> SecularRoots:
+                  max_iter: int = 400) -> SecularRoots:
     """Solve the secular equation for the roots listed in ``index``.
 
     Parameters
@@ -88,11 +89,10 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
     rho : positive rank-one weight.
     index : root indices to solve (default: all k roots).  One LAED4
         panel task passes the root indices of its panel.
-    recorder : optional telemetry sink (:mod:`repro.obs`).  When given,
-        per-root iteration counts are tracked and recorded as the
-        ``secular.iterations`` histogram plus ``secular.sweeps`` /
-        ``secular.roots`` counters; ``None`` (default) keeps the solve
-        loop free of any tracking work.
+
+    The result counts the panel's sweeps (``iterations``) and the sweeps
+    each root stayed active for (``root_iterations``): the per-root
+    LAED4 iteration counts of the solve's telemetry.
     """
     dlamda = np.asarray(dlamda, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -101,7 +101,7 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         raise ValueError("rho must be positive")
     if k == 0:
         e = np.empty(0)
-        return SecularRoots(e.astype(int), e, e, 0)
+        return SecularRoots(e.astype(int), e, e, 0, e.astype(np.int64))
     if index is None:
         index = np.arange(k)
     js = np.asarray(index, dtype=np.intp)
@@ -112,10 +112,8 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         lam = dlamda[0] + rho * zsq[0]
         orig = np.zeros(m, dtype=np.intp)
         tau = np.full(m, rho * zsq[0])
-        if recorder is not None:
-            recorder.add("secular.roots", m)
-            recorder.observe_many("secular.iterations", [0.0] * m)
-        return SecularRoots(orig, tau, np.full(m, lam), 0)
+        return SecularRoots(orig, tau, np.full(m, lam), 0,
+                            np.zeros(m, dtype=np.int64))
 
     interior = js < k - 1
     right_pole = np.where(interior, js + 1, js)           # d_{j+1} or d_{k-1}
@@ -160,15 +158,13 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
 
     active = np.ones(m, dtype=bool)
     total_sweeps = 0
-    # Per-root sweep counts, tracked only when telemetry asks for them.
-    iters = np.zeros(m, dtype=np.int64) if recorder is not None else None
+    iters = np.zeros(m, dtype=np.int64)     # per-root sweep counts
     for sweep in range(max_iter):
         if not np.any(active):
             break
         total_sweeps += 1
         ia = np.where(active)[0]
-        if iters is not None:
-            iters[ia] += 1
+        iters[ia] += 1
         ja, ta = js[ia], tau[ia]
         oa = orig[ia]
         delta = (dlamda[:, None] - dlamda[oa][None, :]) - ta[None, :]
@@ -247,10 +243,6 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         keep = ~converged
         active[ia] = keep
 
-    if recorder is not None:
-        recorder.add("secular.sweeps", total_sweeps)
-        recorder.add("secular.roots", m)
-        recorder.observe_many("secular.iterations", iters)
     if np.any(active):
         stuck = js[np.where(active)[0]]
         raise ConvergenceError(
@@ -259,4 +251,4 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
             f"(k={k}, rho={rho:.3e})")
     return SecularRoots(orig.astype(np.intp), tau,
                         eigenvalues_from_roots(dlamda, orig, tau),
-                        total_sweeps)
+                        total_sweeps, iters)

@@ -24,7 +24,6 @@ MR³-SMP-style dynamic scheduler — used by the Fig. 8 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from ..kernels.scaling import scale_tridiagonal
 from ..runtime.task import TaskCost
 from .bisect import bisect_ldl, bisect_ldl_multi, gershgorin
 from .ldl import LDL, dstqds, ldl_factor
-from .twisted import getvec, getvec_batch
+from .twisted import getvec_batch
 
 __all__ = ["mrrr_eigh", "MRRRResult", "WorkRecord"]
 

@@ -2,19 +2,19 @@
 collapsed stacks.
 
 Machine-readable views plus a human summary over one solve's telemetry
-(:class:`~repro.obs.recorder.Collector` + the scheduler's
+(the :class:`~repro.obs.metrics.SolveMetrics` that
+:func:`~repro.obs.metrics.solve_metrics` derives, and the run's
 :class:`~repro.runtime.trace.Trace`):
 
 ``write_jsonl``
-    One JSON object per line — tasks, spans, counters, histograms,
-    gauges and timeseries samples — the archival event log.
+    One JSON object per line — tasks, idle intervals, counters,
+    histograms, gauges and timeseries samples — the archival event log.
 ``chrome_trace``
     The enriched ``chrome://tracing``/Perfetto document: worker rows
     from :meth:`Trace.to_chrome_trace` (with process/thread metadata),
-    **counter tracks** (queue depth, ready depth) as ``C`` events,
-    wall-clock solver spans, and merge/level spans synthesized from the
-    task tags — a zoomable version of the paper's Figs. 3–4 with the
-    scheduler's internals on top.
+    the ready-depth **counter track** as ``C`` events, and merge/level
+    spans synthesized from the task tags — a zoomable version of the
+    paper's Figs. 3–4 with the scheduler's internals on top.
 ``prometheus_text``
     A Prometheus text-format snapshot of counters/gauges/histograms.
 ``collapsed_stacks``
@@ -31,17 +31,20 @@ import re
 from typing import IO, Optional
 
 from ..runtime.trace import Trace
-from .recorder import Collector
+from .metrics import SolveMetrics
 
 __all__ = ["write_jsonl", "chrome_trace", "prometheus_text",
            "telemetry_summary", "telemetry_block", "merge_spans_from_trace",
            "collapsed_stacks", "prom_name", "prom_label_value"]
 
-#: Merge-kernel names whose events carry a ``(lo, hi)`` merge tag.
+#: Merge-kernel names whose events carry a ``(lo, hi)`` merge tag: the
+#: shared spine, the eigenvector kernels (``jobz='V'``) and the
+#: boundary-row strip kernels (both modes; ``UpdateEig`` at an N root).
 _MERGE_KERNELS = frozenset({
     "Compute_deflation", "ApplyGivens", "PermuteV", "LAED4",
     "ComputeLocalW", "ReduceW", "CopyBackDeflated", "ComputeVect",
-    "UpdateVect",
+    "UpdateVect", "GivensStrip", "PermuteStrip", "UpdateStrip",
+    "UpdateEig",
 })
 
 
@@ -108,34 +111,21 @@ def collapsed_stacks(trace: Trace) -> str:
                    for stack, us in sorted(weights.items()))
 
 
-def _span_alignment(collector: Optional[Collector]) -> tuple[float, float]:
-    """(span_origin, event_shift): offsets putting spans and trace events
-    on one axis, with the ``execute`` span aligned to trace time zero."""
-    if collector is None or not collector.spans:
-        return 0.0, 0.0
-    origin = min(s.t0 for s in collector.spans)
-    exec_t0 = next((s.t0 for s in collector.span_tree()
-                    if s.name == "execute"), origin)
-    return origin, exec_t0 - origin
-
-
 def chrome_trace(trace: Trace,
-                 collector: Optional[Collector] = None) -> dict:
+                 metrics: Optional[SolveMetrics] = None) -> dict:
     """Full Chrome/Perfetto trace document (``{"traceEvents": [...]}``).
 
-    pid 0 carries the worker rows and counter tracks, pid 1 the solver's
-    wall-clock spans, pid 2 the synthesized merge spans (one thread row
-    per tree level).  With a collector, task/counter timestamps are
-    shifted so that execution starts where the ``execute`` span does.
+    pid 0 carries the worker rows and, with ``metrics``, its counter
+    tracks; pid 2 the synthesized merge spans (one thread row per tree
+    level).  Every timestamp is on the trace's own clock.
     """
-    origin, shift = _span_alignment(collector)
-    events = trace.to_chrome_trace(ts_shift=shift)
+    events = trace.to_chrome_trace()
     events.append({"ph": "M", "pid": 2, "tid": 0, "name": "process_name",
                    "args": {"name": "merge hierarchy"}})
     for s in merge_spans_from_trace(trace):
         events.append({
             "name": s["name"], "cat": "merge", "ph": "X",
-            "ts": (s["t0"] + shift) * 1e6,
+            "ts": s["t0"] * 1e6,
             "dur": max((s["t1"] - s["t0"]) * 1e6, 0.01),
             "pid": 2, "tid": s["level"],
             "args": {"lo": s["lo"], "hi": s["hi"]},
@@ -143,33 +133,24 @@ def chrome_trace(trace: Trace,
         events.append({"ph": "M", "pid": 2, "tid": s["level"],
                        "name": "thread_name",
                        "args": {"name": f"level {s['level']}"}})
-    if collector is not None:
-        for (name, track), pairs in sorted(collector.series.items()):
+    if metrics is not None:
+        for (name, track), pairs in sorted(metrics.series.items()):
             for t, v in pairs:
                 events.append({
                     "name": name, "cat": "counter", "ph": "C",
-                    "ts": (t + shift) * 1e6, "pid": 0,
+                    "ts": t * 1e6, "pid": 0,
                     "args": {f"track{track}": v},
                 })
-        events.append({"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
-                       "args": {"name": "solver spans"}})
-        for s in collector.span_tree():
-            events.append({
-                "name": s.name, "cat": "span", "ph": "X",
-                "ts": (s.t0 - origin) * 1e6,
-                "dur": max((s.t1 - s.t0) * 1e6, 0.01),
-                "pid": 1, "tid": 0,
-                "args": {k: repr(v) for k, v in s.attrs.items()},
-            })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_jsonl(fh: IO[str], collector: Optional[Collector],
+def write_jsonl(fh: IO[str], metrics: Optional[SolveMetrics],
                 trace: Optional[Trace] = None) -> int:
     """Write the JSON-lines event log; returns the number of lines.
 
-    Line types (field ``type``): ``meta``, ``task``, ``idle``, ``span``,
-    ``counter``, ``gauge``, ``hist``, ``sample``, ``event``.
+    Line types (field ``type``): ``meta``, ``task``, ``idle``,
+    ``counter``, ``gauge``, ``hist``, ``sample``.  Version 2 of the
+    format; version 1 also carried ``span`` and ``event`` lines.
     """
     n = 0
 
@@ -178,7 +159,7 @@ def write_jsonl(fh: IO[str], collector: Optional[Collector],
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
         n += 1
 
-    meta: dict = {"type": "meta", "version": 1}
+    meta: dict = {"type": "meta", "version": 2}
     if trace is not None:
         meta["n_workers"] = trace.n_workers
         meta["makespan_s"] = trace.makespan
@@ -191,28 +172,18 @@ def write_jsonl(fh: IO[str], collector: Optional[Collector],
                   "tag": repr(e.tag)})
         for w, a, b in trace.idle_intervals:
             emit({"type": "idle", "worker": w, "t0": a, "t1": b})
-    if collector is not None:
-        for s in collector.span_tree():
-            emit({"type": "span", "name": s.name, "sid": s.sid,
-                  "parent": s.parent, "t0": s.t0, "t1": s.t1,
-                  "thread": s.thread,
-                  "attrs": {k: repr(v) for k, v in s.attrs.items()}})
-        for name, value in sorted(collector.counters.items()):
+    if metrics is not None:
+        for name, value in sorted(metrics.counters.items()):
             emit({"type": "counter", "name": name, "value": value})
-        for name, value in sorted(collector.gauges.items()):
+        for name, value in sorted(metrics.gauges.items()):
             emit({"type": "gauge", "name": name, "value": value})
-        for name in collector.hist_names():
-            line = {"type": "hist", "name": name,
-                    **(collector.hist_stats(name) or {})}
-            if name in collector.digests:
-                line["digest"] = True
-            emit(line)
-        for (name, track), pairs in sorted(collector.series.items()):
+        for name in sorted(metrics.hists):
+            emit({"type": "hist", "name": name,
+                  **(metrics.hist_stats(name) or {})})
+        for (name, track), pairs in sorted(metrics.series.items()):
             for t, v in pairs:
                 emit({"type": "sample", "name": name, "track": track,
                       "t": t, "value": v})
-        for ev in collector.events:
-            emit({"type": "event", **ev})
     return n
 
 
@@ -234,18 +205,20 @@ def prom_label_value(value: str) -> str:
             .replace("\n", "\\n"))
 
 
-def prometheus_text(collector: Collector,
+def prometheus_text(metrics: SolveMetrics,
                     trace: Optional[Trace] = None) -> str:
-    """Prometheus text-format snapshot of the collected metrics."""
+    """Prometheus text-format snapshot of one solve's metrics."""
     lines: list[str] = []
-    for name, value in sorted(collector.counters.items()):
+    for name, value in sorted(metrics.counters.items()):
         pn = prom_name(name) + "_total"
         lines += [f"# TYPE {pn} counter", f"{pn} {value:.17g}"]
-    for name, value in sorted(collector.gauges.items()):
+    for name, value in sorted(metrics.gauges.items()):
         pn = prom_name(name)
         lines += [f"# TYPE {pn} gauge", f"{pn} {value:.17g}"]
-    for name in collector.hist_names():
-        st = collector.hist_stats(name)
+    for name in sorted(metrics.hists):
+        st = metrics.hist_stats(name)
+        if st is None:
+            continue
         pn = prom_name(name)
         lines += [f"# TYPE {pn} summary",
                   f"{pn}_count {st['count']}",
@@ -265,7 +238,7 @@ def _rate(hits: float, total: float) -> Optional[float]:
     return hits / total if total else None
 
 
-def telemetry_block(collector: Optional[Collector],
+def telemetry_block(metrics: Optional[SolveMetrics],
                     trace: Optional[Trace] = None) -> dict:
     """Compact telemetry dict for BENCH JSON / regression gating."""
     block: dict = {}
@@ -273,12 +246,11 @@ def telemetry_block(collector: Optional[Collector],
         block["makespan_s"] = trace.makespan
         block["idle_fraction"] = trace.idle_fraction
         block["n_tasks"] = len(trace.events)
-    if collector is None:
+    if metrics is None:
         return block
-    c = collector.counters
+    c = metrics.counters
     block["parks"] = c.get("scheduler.park.count", 0.0)
     block["park_time_s"] = c.get("scheduler.park.time_s", 0.0)
-    block["dep_resolve_s"] = c.get("scheduler.dep_resolve.time_s", 0.0)
     lookups = (c.get("graph_cache.hits", 0.0)
                + c.get("graph_cache.misses", 0.0))
     block["cache_hits"] = c.get("graph_cache.hits", 0.0)
@@ -293,11 +265,11 @@ def telemetry_block(collector: Optional[Collector],
         block["workspace_pool_hit_rate"] = _rate(
             block["workspace_pool_hits"], ws_lookups)
     for hist in ("merge.deflation_ratio", "secular.iterations"):
-        st = collector.hist_stats(hist)
+        st = metrics.hist_stats(hist)
         if st is not None:
             block[hist.replace(".", "_")] = {
                 k: st[k] for k in ("count", "mean", "max")}
-    hw = collector.gauges.get("workspace.high_water_bytes")
+    hw = metrics.gauges.get("workspace.high_water_bytes")
     if hw is not None:
         block["workspace_high_water_bytes"] = hw
     return block
@@ -310,23 +282,21 @@ def _fmt_stats(st: Optional[dict]) -> str:
             f"p50={st['p50']:.3g}  p90={st['p90']:.3g}  max={st['max']:.3g}")
 
 
-def telemetry_summary(collector: Optional[Collector],
+def telemetry_summary(metrics: Optional[SolveMetrics],
                       trace: Optional[Trace] = None) -> str:
     """Human-readable report: scheduler, cache and numeric health."""
     rows: list[str] = []
     if trace is not None:
         rows.append(trace.summary())
-    if collector is None:
+    if metrics is None:
         return "\n".join(rows)
-    c = collector.counters
+    c = metrics.counters
     rows.append("scheduler:")
     rows.append(f"  park cycles      : {c.get('scheduler.park.count', 0):.0f}"
                 f"  ({c.get('scheduler.park.time_s', 0):.4g} s parked)")
-    rows.append("  dep-resolve time : "
-                f"{c.get('scheduler.dep_resolve.time_s', 0):.4g} s")
-    qd = collector.hist_stats("scheduler.queue_depth")
-    if qd:
-        rows.append(f"  queue depth      : {_fmt_stats(qd)}")
+    rd = metrics.hist_stats("scheduler.ready_depth")
+    if rd:
+        rows.append(f"  ready depth      : {_fmt_stats(rd)}")
     lookups = c.get("graph_cache.hits", 0.0) + c.get("graph_cache.misses", 0.0)
     if lookups:
         rows.append("graph cache:")
@@ -344,19 +314,12 @@ def telemetry_summary(collector: Optional[Collector],
             f"/{c.get('workspace_pool.misses', 0):.0f}")
     rows.append("numeric health:")
     rows.append("  deflation ratio  : "
-                + _fmt_stats(collector.hist_stats("merge.deflation_ratio")))
+                + _fmt_stats(metrics.hist_stats("merge.deflation_ratio")))
     rows.append("  LAED4 iterations : "
-                + _fmt_stats(collector.hist_stats("secular.iterations")))
+                + _fmt_stats(metrics.hist_stats("secular.iterations")))
     rows.append("  givens chain len : "
-                + _fmt_stats(collector.hist_stats("merge.givens_chain_len")))
-    hw = collector.gauges.get("workspace.high_water_bytes")
+                + _fmt_stats(metrics.hist_stats("merge.givens_chain_len")))
+    hw = metrics.gauges.get("workspace.high_water_bytes")
     if hw is not None:
         rows.append(f"  workspace peak   : {hw / 1e6:.2f} MB")
-    durs: dict[str, float] = {}
-    for s in collector.span_tree():
-        durs[s.name] = durs.get(s.name, 0.0) + s.duration
-    if durs:
-        rows.append("solve phases (wall):")
-        for name, d in sorted(durs.items(), key=lambda kv: -kv[1]):
-            rows.append(f"  {name:<16s} : {d:.6g} s")
     return "\n".join(rows)

@@ -1,13 +1,13 @@
 """Always-on service observability: streaming digests, post-mortem
 bundles, and the live ``/metrics`` endpoint.
 
-The :mod:`repro.obs.recorder` Collector is an *attach-then-dump* tool: a
-caller opts in per solve and reads the data afterwards.  A long-lived
-:class:`~repro.core.session.SolverSession` needs the complement — state
-that is always on, bounded, and inspectable while the service runs.  All
-of it is derived, once per solve, from the run's event log: the
-:class:`~repro.runtime.trace.Trace` every substrate already records (a
-failed run's partial trace rides on its error as ``.trace``).
+:func:`~repro.obs.metrics.solve_metrics` reads one finished solve.  A
+long-lived :class:`~repro.core.session.SolverSession` needs the
+complement — state that is always on, bounded, and inspectable while the
+service runs.  All of it is derived, once per solve, from the run's
+event log: the :class:`~repro.runtime.trace.Trace` every substrate
+already records (a failed run's partial trace rides on its error as
+``.trace``), and the solve's per-merge stats.
 
 :func:`write_postmortem`
     When a solve fails (or degrades to the STEQR fallback), the session
@@ -24,7 +24,7 @@ failed run's partial trace rides on its error as ``.trace``).
 
 :class:`SessionMetrics`
     The per-session digest set (per-solve latency, deflation ratio,
-    secular iterations per root), monotonic service counters (solves,
+    mean secular iterations per root), monotonic service counters (solves,
     failures, fallbacks), exact per-kernel time and task totals folded
     from each solve's trace, and the last-solve clock.
 
@@ -78,8 +78,8 @@ class Digest:
     Two digests merge exactly by feeding one's centroids into the
     other's buffer and recompressing (:meth:`merge`).
 
-    Not thread-safe: callers synchronize externally (the collector and
-    session metrics hold their own locks).
+    Not thread-safe: callers synchronize externally (session metrics
+    hold their own lock).
     """
 
     __slots__ = ("delta", "buffer_size", "_buf", "_means", "_weights",
@@ -200,7 +200,8 @@ class Digest:
         return out
 
     def stats(self) -> Optional[dict]:
-        """hist_stats-compatible summary (None while empty)."""
+        """Summary in the shape of ``SolveMetrics.hist_stats`` (None
+        while empty)."""
         if not self.count:
             return None
         return {"count": int(self.count), "min": self.min, "max": self.max,
@@ -226,8 +227,9 @@ class SessionMetrics:
     ``deflation_ratio``
         One sample per merge node (``1 - k/n``).
     ``secular_iterations``
-        Mean LAED4 iterations per secular root, one sample per
-        non-fully-deflated merge.
+        Mean LAED4 iterations per secular root of one merge (from the
+        per-root counts in ``MergeStats.secular_iterations``), one
+        sample per merge that solved a secular root.
 
     ``kernel_seconds`` / ``kernel_tasks`` are exact per-kernel busy
     seconds and completed-task counts folded from each solve's trace
@@ -276,8 +278,10 @@ class SessionMetrics:
                 self.latency_s.add(latency_s)
             for s in merge_stats:
                 self.deflation_ratio.add(s.deflation_ratio)
-                if s.k:
-                    self.secular_iterations.add(s.secular_sweeps / s.k)
+                if s.secular_iterations:
+                    self.secular_iterations.add(
+                        sum(s.secular_iterations)
+                        / len(s.secular_iterations))
                 if s.fallback:
                     self.fallbacks += 1
             _fold(self.kernel_seconds, kernel_s)
@@ -370,9 +374,7 @@ def _options_dict(options) -> Optional[dict]:
     out = {}
     for f in dataclass_fields(options):
         v = getattr(options, f.name)
-        if f.name == "telemetry":
-            v = None if v is None else type(v).__name__
-        elif f.name == "fault_injection" and v is not None:
+        if f.name == "fault_injection" and v is not None:
             v = {"task_seq": v.task_seq, "kernel": v.kernel, "nth": v.nth,
                  "probability": v.probability, "seed": v.seed}
         out[f.name] = v
@@ -486,11 +488,9 @@ def live_metrics_text(session) -> str:
 
     Service counters and gauges come from the always-on session state
     (metrics digests, per-kernel totals folded from every solve's trace,
-    pool/workspace/cache stats); when the session was built with a
-    :class:`~repro.obs.recorder.Collector`, its snapshot is appended.
+    pool/workspace/cache stats).
     """
-    from .export import prom_label_value, prom_name, prometheus_text
-    from .recorder import Collector
+    from .export import prom_label_value, prom_name
 
     lines: list[str] = []
 
@@ -547,11 +547,7 @@ def live_metrics_text(session) -> str:
         emit("pool.workers_alive", pool.workers_alive)
         emit("pool.workers_parked", pool.parked)
         emit("pool.inflight_runs", len(pool._active))
-    text = "\n".join(lines) + "\n"
-    col = session.options.telemetry
-    if isinstance(col, Collector):
-        text += prometheus_text(col)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def healthz_payload(session) -> tuple[int, dict]:

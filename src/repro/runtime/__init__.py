@@ -9,12 +9,12 @@ Public surface:
   edges all point forward in submission order, so a graph is acyclic
   as built;
 * :mod:`~repro.runtime.engine` — the shared execution core
-  (:class:`~repro.runtime.engine.ExecutionCore`,
-  :class:`~repro.runtime.engine.EngineRun`,
+  (:class:`~repro.runtime.engine.EngineRun`,
   :class:`~repro.runtime.engine.ReadyQueue`,
+  :func:`~repro.runtime.engine.task_failed`,
   :class:`~repro.runtime.engine.VirtualExecutor`): readiness, priority
-  order, first-failure cancellation, fault injection and emission, owned
-  once for every substrate;
+  order, first-failure cancellation, fault injection and the run's
+  trace, owned once for every substrate;
 * :class:`~repro.runtime.scheduler.SequentialScheduler` /
   :class:`~repro.runtime.scheduler.ThreadScheduler` /
   :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock
@@ -36,8 +36,7 @@ Public surface:
 from .task import (Access, DataHandle, Task, TaskCost,
                    INPUT, OUTPUT, INOUT, GATHERV)
 from .dag import TaskGraph
-from .engine import (EngineRun, ExecutionCore, ReadyQueue, VirtualExecutor,
-                     WorkerStats)
+from .engine import EngineRun, ReadyQueue, VirtualExecutor, task_failed
 from .faults import FaultInjector, FaultSpec
 from .scheduler import (SequentialScheduler, ThreadScheduler, WorkerPool,
                         default_thread_workers)
@@ -51,8 +50,7 @@ __all__ = [
     "Access", "DataHandle", "Task", "TaskCost",
     "INPUT", "OUTPUT", "INOUT", "GATHERV",
     "TaskGraph",
-    "EngineRun", "ExecutionCore", "ReadyQueue", "VirtualExecutor",
-    "WorkerStats",
+    "EngineRun", "ReadyQueue", "VirtualExecutor", "task_failed",
     "SequentialScheduler", "ThreadScheduler",
     "WorkerPool", "default_thread_workers",
     "Machine", "SimulatedMachine", "Quark",

@@ -157,7 +157,6 @@ class TaskGraph:
         indeg = {t.uid: t.n_deps for t in self.tasks}
         from collections import deque
         q = deque(t for t in self.tasks if indeg[t.uid] == 0)
-        order = 0
         seen = 0
         while q:
             t = q.popleft()

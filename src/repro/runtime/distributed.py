@@ -14,7 +14,7 @@ live, break ties toward the least-loaded node), or a user-supplied
 used by the distributed-D&C study in the EXT-4 benchmark.
 
 The engine loop — readiness, payload execution with fault injection,
-the trace, deadlock detection, counter emission — comes from
+the trace, deadlock detection — comes from
 :class:`~repro.runtime.engine.VirtualExecutor`; this module owns only
 the placement policy and the network charge model.
 """
@@ -61,23 +61,22 @@ class ClusterMachine(VirtualExecutor):
     network : interconnect α–β model.
     placement : optional ``task -> node`` (None = data affinity).
     execute : run the functional payloads (False replays a solved graph).
-    recorder, injector : the engine's Collector and fault-injection hook
-        (same semantics as every other substrate).
+    injector : the engine's fault-injection hook (same semantics as
+        every other substrate).
     """
 
     def __init__(self, n_nodes: int = 2,
                  machine: Optional[Machine] = None,
                  network: Optional[Network] = None,
                  placement: Optional[Callable[[Task], Optional[int]]] = None,
-                 execute: bool = True, *, recorder=None, injector=None):
+                 execute: bool = True, *, injector=None):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
         self.machine = machine or Machine()
         self.network = network or Network()
         self.placement = placement
-        super().__init__(execute=execute, recorder=recorder,
-                         injector=injector)
+        super().__init__(execute=execute, injector=injector)
         self.bytes_on_wire = 0.0
         self.n_messages = 0
 

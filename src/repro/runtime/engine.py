@@ -12,19 +12,22 @@ in common lives here, once —
 * :class:`EngineRun` — the run-isolation record: per-run dependency
   countdowns and readiness release, first-failure state, trace events,
   and the single emission point for the run's :class:`Trace` (built for
-  failed runs too), Collector counters and the completion hook;
-* :class:`ExecutionCore` — the run-scoped service bundle: dispatch-time
-  fault-injection guard, the typed-``TaskFailure`` failure path, and
-  the success/failure counter conventions;
-* :class:`WorkerStats` — per-worker telemetry slots merged off the hot
-  path;
+  failed runs too) and the completion hook;
+* :func:`task_failed` — the typed-``TaskFailure`` failure path every
+  substrate raises through;
 * :class:`VirtualExecutor` — the discrete-event engine loop shared by
   the simulator family (:class:`~repro.runtime.simulator.SimulatedMachine`,
   :class:`~repro.runtime.distributed.ClusterMachine`,
   :class:`~repro.runtime.hetero.HeteroMachine`): readiness, payload
-  execution with fault injection, deadlock detection and counter
-  emission, with the machine model (worker geometry, dispatch
-  placement, virtual-clock advance) left to subclasses.
+  execution with fault injection and deadlock detection, with the
+  machine model (worker geometry, dispatch placement, virtual-clock
+  advance) left to subclasses.
+
+The run's :class:`Trace` is its only record: no substrate counts or
+samples anything beside it, and every telemetry view
+(:func:`repro.obs.solve_metrics`) is derived from it afterwards.  A
+substrate consults a run's fault injector (``injector.maybe_fail(task)``)
+immediately before running each task.
 
 The backends themselves (:mod:`~repro.runtime.scheduler`,
 :mod:`~repro.runtime.simulator`, :mod:`~repro.runtime.distributed`,
@@ -44,8 +47,7 @@ from typing import Callable, Optional
 from ..errors import SchedulerError, wrap_task_error
 from .trace import Trace, TraceEvent
 
-__all__ = ["ReadyQueue", "EngineRun", "ExecutionCore", "WorkerStats",
-           "VirtualExecutor"]
+__all__ = ["ReadyQueue", "EngineRun", "task_failed", "VirtualExecutor"]
 
 
 class ReadyQueue:
@@ -79,65 +81,22 @@ class ReadyQueue:
         return len(self._heap)
 
 
-class ExecutionCore:
-    """Run-scoped bundle of the engine's cross-cutting services.
+def task_failed(task, exc: BaseException, worker: Optional[int] = None,
+                trace: Optional[Trace] = None) -> BaseException:
+    """The typed wrapper of a task failure.
 
-    Holds the Collector ``recorder`` plus the fault ``injector``, and
-    centralizes what every substrate shares: the dispatch-time fault
-    guard, the typed-failure path, and the success/failure counter
-    conventions.  The run's :class:`Trace` is the only per-task record;
-    nothing here is called per completed task.
+    The wrapper carries the task context (name, seq, tag, worker) and
+    chains ``exc`` as its ``__cause__``; callers raise it.  The inline
+    substrates pass the run's partial ``trace``, attached as
+    ``failure.trace``; the thread pool attaches its own in
+    :meth:`EngineRun.finish`.
     """
-
-    __slots__ = ("recorder", "injector")
-
-    def __init__(self, recorder=None, injector=None):
-        self.recorder = recorder
-        self.injector = injector
-
-    @property
-    def observe(self) -> bool:
-        rec = self.recorder
-        return rec is not None and getattr(rec, "enabled", False)
-
-    # -- dispatch hook ---------------------------------------------------
-    def guard(self, task) -> None:
-        """Fault-injection dispatch hook: consulted immediately before a
-        task runs; raises :class:`~repro.errors.InjectedFault` on match."""
-        if self.injector is not None:
-            self.injector.maybe_fail(task)
-
-    # -- emission --------------------------------------------------------
-    @staticmethod
-    def task_failed(task, exc: BaseException, worker: Optional[int] = None,
-                    trace: Optional[Trace] = None) -> BaseException:
-        """The typed wrapper of a task failure.
-
-        The wrapper carries the task context (name, seq, tag, worker)
-        and chains ``exc`` as its ``__cause__``; callers raise it.  The
-        inline substrates pass the run's partial ``trace``, attached as
-        ``failure.trace``; the thread pool attaches its own in
-        :meth:`EngineRun.finish`.
-        """
-        failure = wrap_task_error(task, exc, worker=worker)
-        if failure is not exc:
-            failure.__cause__ = exc
-        if trace is not None:
-            failure.trace = trace
-        return failure
-
-    def emit_success(self, n_tasks: int) -> None:
-        if self.observe:
-            self.recorder.add("scheduler.tasks", n_tasks)
-
-    def emit_failure(self, n_failures: int, n_cancelled: int) -> None:
-        """First-failure counters of the inline substrates (the thread
-        pool counts its own, with partial progress, in
-        :meth:`EngineRun.finish`)."""
-        if self.observe:
-            rec = self.recorder
-            rec.add("scheduler.failures", n_failures)
-            rec.add("scheduler.cancelled_tasks", n_cancelled)
+    failure = wrap_task_error(task, exc, worker=worker)
+    if failure is not exc:
+        failure.__cause__ = exc
+    if trace is not None:
+        failure.trace = trace
+    return failure
 
 
 class EngineRun:
@@ -154,17 +113,15 @@ class EngineRun:
     finalized AND no task is still executing: a failed run must not
     release buffers while a peer worker is writing into them.  The
     thread pool reads and writes the lifecycle fields (``pending``,
-    ``remaining``, ``inflight``, ``n_executed``, ``finalized``,
-    ``errors``) only under its lock.
+    ``remaining``, ``inflight``, ``finalized``, ``errors``) only under
+    its lock.
     """
 
     __slots__ = ("graph", "n_tasks", "pending", "remaining", "t0",
-                 "events", "errors", "finalized", "trace", "recorder",
-                 "injector", "order_base", "on_done", "_done_event",
-                 "n_executed", "inflight")
+                 "events", "errors", "finalized", "trace", "injector",
+                 "order_base", "on_done", "_done_event", "inflight")
 
-    def __init__(self, graph, order_base: int = 0, *, recorder=None,
-                 injector=None,
+    def __init__(self, graph, order_base: int = 0, *, injector=None,
                  on_done: Optional[Callable[["EngineRun"], None]] = None):
         self.graph = graph
         self.n_tasks = len(graph.tasks)
@@ -175,11 +132,9 @@ class EngineRun:
         self.errors: list[BaseException] = []
         self.finalized = False
         self.trace: Optional[Trace] = None
-        self.recorder = recorder
         self.injector = injector
         self.order_base = order_base
         self.on_done = on_done
-        self.n_executed = 0
         self.inflight = 0              # tasks executing on a worker now
         self._done_event = threading.Event()
 
@@ -228,62 +183,22 @@ class EngineRun:
 
         Build the :class:`Trace` (events sorted into timeline order) —
         on failure too, where it holds the tasks that completed and is
-        attached to the first error as ``.trace``.  Success: count
-        ``scheduler.tasks``.  Failure: count ``scheduler.failures`` /
-        ``scheduler.cancelled_tasks`` and the partial ``scheduler.tasks``
-        progress.  Then run the completion hook (exceptions swallowed —
-        a hook must never kill a worker) and set the done event.
+        attached to the first error as ``.trace``.  Then run the
+        completion hook (exceptions swallowed — a hook must never kill a
+        worker) and set the done event.
         """
-        rec = self.recorder
-        observe = rec is not None and getattr(rec, "enabled", False)
         trace = Trace(n_workers=n_workers, worker_names=worker_names)
         self.events.sort(key=lambda e: (e.t_start, e.t_end, e.task_uid))
         trace.events = self.events
         self.trace = trace
         if self.failed:
             self.errors[0].trace = trace
-            if observe:
-                rec.add("scheduler.failures", len(self.errors))
-                rec.add("scheduler.cancelled_tasks", max(0, self.remaining))
-                rec.add("scheduler.tasks", self.n_executed)
-        elif observe:
-            rec.add("scheduler.tasks", self.n_tasks)
         if self.on_done is not None:
             try:
                 self.on_done(self)
             except Exception:
                 pass
         self._done_event.set()
-
-
-class WorkerStats:
-    """Per-worker telemetry slots, merged into the recorder off the hot
-    path (after join for the one-shot scheduler; periodically and at
-    shutdown for the persistent pool — no recorder calls under the pool
-    lock)."""
-
-    __slots__ = ("parks", "park_s", "dep_s", "depth_samples")
-
-    def __init__(self) -> None:
-        self.parks = 0
-        self.park_s = 0.0
-        self.dep_s = 0.0
-        self.depth_samples: list[tuple[float, float]] = []
-
-    def emit(self, rec, wid: int) -> None:
-        """Fold this worker's counters and queue-depth samples into the
-        recorder (caller checks ``rec.enabled``)."""
-        rec.add("scheduler.park.count", self.parks)
-        rec.add("scheduler.park.time_s", self.park_s)
-        rec.add("scheduler.dep_resolve.time_s", self.dep_s)
-        self.flush_depth(rec, wid)
-
-    def flush_depth(self, rec, wid: int) -> None:
-        """Export and clear the queue-depth samples (a persistent pool
-        must flush periodically or the lists grow without bound)."""
-        samples, self.depth_samples = self.depth_samples, []
-        rec.bulk_samples("scheduler.queue_depth", wid, samples)
-        rec.observe_many("scheduler.queue_depth", (d for _, d in samples))
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +212,9 @@ class VirtualExecutor:
     Owns the full engine contract for the simulator backends: dependency
     countdowns and readiness release, the priority-ordered ready queue,
     functional-payload execution with the fault-injection guard,
-    first-failure cancellation and counters, the trace (with *virtual*
-    timestamps), deadlock detection, and ready-depth/counter emission.
-    Subclasses provide only the machine model via four hooks:
+    first-failure cancellation, the trace (with *virtual* timestamps)
+    and deadlock detection.  Subclasses provide only the machine model
+    via four hooks:
 
     ``_virtual_workers()``
         Total worker rows in the trace.
@@ -321,10 +236,8 @@ class VirtualExecutor:
     ``run`` keeps its state on ``self`` for the substrate hooks.
     """
 
-    def __init__(self, *, execute: bool = True, recorder=None,
-                 injector=None):
+    def __init__(self, *, execute: bool = True, injector=None):
         self.execute = execute
-        self.recorder = recorder
         self.injector = injector
         self.trace: Optional[Trace] = None
 
@@ -347,7 +260,6 @@ class VirtualExecutor:
     # -- engine loop -----------------------------------------------------
     def run(self, graph) -> Trace:
         tasks = graph.tasks
-        core = self._core = ExecutionCore(self.recorder, self.injector)
         self._trace = trace = Trace(n_workers=self._virtual_workers())
         self._pending = {t.uid: t.n_deps for t in tasks}
         self._ready = ready = ReadyQueue()
@@ -356,26 +268,15 @@ class VirtualExecutor:
                 ready.push(t)
         self._now = 0.0
         self._n_done = 0
-        self._total = total = len(tasks)
-        observe = core.observe
-        #: (virtual t, ready-queue depth) samples for the counter track.
-        depth_samples: Optional[list] = [] if observe else None
+        total = len(tasks)
         self._setup(graph)
         while self._n_done < total:
             self._dispatch(ready)
-            if observe:
-                depth_samples.append((self._now, float(len(ready))))
             if not self._has_running():
                 raise SchedulerError(
                     f"{type(self).__name__}: deadlock — no running tasks "
                     "but the graph is incomplete")
             self._advance()
-        if observe:
-            rec = self.recorder
-            rec.add("scheduler.tasks", total)
-            rec.bulk_samples("scheduler.ready_depth", 0, depth_samples)
-            rec.observe_many("scheduler.ready_depth",
-                             (d for _, d in depth_samples))
         self.trace = trace
         return trace
 
@@ -383,21 +284,20 @@ class VirtualExecutor:
     def _exec_payload(self, task) -> None:
         """Run the functional payload at (virtual) dispatch time.
 
-        The first failure cancels the run: failure counters are emitted
-        and the typed :class:`~repro.errors.TaskFailure` propagates,
-        carrying the partial trace of the tasks completed so far.  When
+        The first failure cancels the run: the typed
+        :class:`~repro.errors.TaskFailure` propagates, carrying the
+        partial trace of the tasks completed so far.  When
         ``execute=False`` (replaying a solved graph) the payload is
         skipped but the task is still marked done.
         """
-        core = self._core
         if self.execute:
+            injector = self.injector
             try:
-                core.guard(task)
+                if injector is not None:
+                    injector.maybe_fail(task)
                 task.run()
             except Exception as exc:
-                core.emit_failure(1, self._total - self._n_done - 1)
-                raise core.task_failed(task, exc,
-                                       trace=self._trace) from exc
+                raise task_failed(task, exc, trace=self._trace) from exc
         task.mark_done()
 
     def _complete_task(self, task, worker: int, t_start: float,

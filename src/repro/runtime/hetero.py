@@ -13,7 +13,7 @@ The DAG, the numerics and the readiness rules are identical to the
 homogeneous case — placement and transfers are purely a scheduling
 concern, as they would be in a StarPU/PaRSEC-style runtime.  The engine
 loop (readiness, payload execution with fault injection, the trace,
-deadlock detection, counter emission) comes from
+deadlock detection) comes from
 :class:`~repro.runtime.engine.VirtualExecutor`; this module owns only
 the device placement and the PCIe charge model.
 """
@@ -67,13 +67,12 @@ class HeteroMachine(VirtualExecutor):
                  accelerators: int = 1,
                  accel: Optional[Accelerator] = None,
                  offload: frozenset[str] = GPU_OFFLOAD_POLICY,
-                 execute: bool = True, *, recorder=None, injector=None):
+                 execute: bool = True, *, injector=None):
         self.machine = machine or Machine()
         self.accel = accel or Accelerator()
         self.n_accel_streams = accelerators * self.accel.n_streams
         self.offload = offload
-        super().__init__(execute=execute, recorder=recorder,
-                         injector=injector)
+        super().__init__(execute=execute, injector=injector)
 
     # -- duration model ---------------------------------------------------
     def _duration(self, task: Task, on_gpu: bool,

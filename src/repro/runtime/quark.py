@@ -58,10 +58,9 @@ class Quark:
     def __init__(self, backend: str = "sequential", *,
                  n_workers: Optional[int] = None,
                  machine: Optional[Machine] = None,
-                 recorder=None, fault_injection: Optional[FaultSpec] = None):
+                 fault_injection: Optional[FaultSpec] = None):
         validate_backend(backend)
         self.backend = backend
-        self.recorder = recorder
         self.injector = (FaultInjector(fault_injection)
                          if fault_injection is not None else None)
         self.machine = machine if machine is not None else (
@@ -87,13 +86,10 @@ class Quark:
     # -- execution ---------------------------------------------------------------
     def _make_scheduler(self):
         if self.backend == "sequential":
-            return SequentialScheduler(recorder=self.recorder,
-                                       injector=self.injector)
+            return SequentialScheduler(injector=self.injector)
         if self.backend == "threads":
-            return ThreadScheduler(self.n_workers, recorder=self.recorder,
-                                   injector=self.injector)
+            return ThreadScheduler(self.n_workers, injector=self.injector)
         return SimulatedMachine(self.machine, n_workers=self.n_workers,
-                                recorder=self.recorder,
                                 injector=self.injector)
 
     def barrier(self) -> Trace:

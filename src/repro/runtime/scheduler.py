@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 from ..errors import SchedulerError
 from .dag import TaskGraph
-from .engine import EngineRun, ExecutionCore, ReadyQueue, WorkerStats
+from .engine import EngineRun, ReadyQueue, task_failed
 from .trace import Trace, TraceEvent
 
 
@@ -60,34 +60,30 @@ def default_thread_workers() -> int:
 class SequentialScheduler:
     """Run the whole graph on the calling thread, in submission order."""
 
-    def __init__(self, recorder=None, injector=None) -> None:
+    def __init__(self, injector=None) -> None:
         self.trace: Optional[Trace] = None
-        self.recorder = recorder
         self.injector = injector
 
     def run(self, graph: TaskGraph) -> Trace:
         trace = Trace(n_workers=1)
-        core = ExecutionCore(self.recorder, self.injector)
-        guard = core.guard
+        injector = self.injector
         record = trace.record
-        tasks = graph.tasks
         t0 = time.perf_counter()
-        for i, task in enumerate(tasks):
+        for task in graph.tasks:
             a = time.perf_counter() - t0
             try:
-                guard(task)
+                if injector is not None:
+                    injector.maybe_fail(task)
                 task.run()
             except Exception as exc:
                 # First failure cancels the run: the remaining tasks are
                 # dropped and the exception propagates with task context
                 # and the partial trace.
-                core.emit_failure(1, len(tasks) - i - 1)
-                raise core.task_failed(task, exc, trace=trace) from exc
+                raise task_failed(task, exc, trace=trace) from exc
             task.mark_done()
             b = time.perf_counter() - t0
             record(TraceEvent(task.uid, task.name, 0, a, b, task.tag,
                               task.priority, task.seq))
-        core.emit_success(len(tasks))
         self.trace = trace
         return trace
 
@@ -96,10 +92,6 @@ class SequentialScheduler:
 # Persistent worker pool: fused execution of many sub-graphs
 # ---------------------------------------------------------------------------
 
-
-#: Queue-depth samples buffered per worker before flushing to the
-#: recorder (bounds telemetry memory in a long-lived pool).
-_DEPTH_FLUSH = 1024
 
 #: Sentinel: "use the pool's default proper worker names".
 _POOL_DEFAULT = object()
@@ -124,14 +116,13 @@ class WorkerPool:
     its lock.
     """
 
-    def __init__(self, n_workers: Optional[int] = None, recorder=None,
+    def __init__(self, n_workers: Optional[int] = None,
                  worker_names=_POOL_DEFAULT, record_idle: bool = False):
         if n_workers is None:
             n_workers = default_thread_workers()
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.recorder = recorder
         if worker_names is _POOL_DEFAULT:
             names = [f"pool-worker-{w}" for w in range(n_workers)]
         else:
@@ -147,12 +138,7 @@ class WorkerPool:
         self._shutdown = False
         self._order = 0          # global submission-order counter
         self._active: set[EngineRun] = set()  # submitted, not completed
-        self._t0 = time.perf_counter()       # pool epoch for telemetry
         self.runs_completed = 0
-        observe = recorder is not None and getattr(recorder, "enabled",
-                                                   False)
-        self._wstats = ([WorkerStats() for _ in range(n_workers)]
-                        if observe else None)
         self._threads = [
             threading.Thread(target=self._worker, args=(w,), daemon=True,
                              name=f"repro-pool-{w}")
@@ -161,15 +147,15 @@ class WorkerPool:
             th.start()
 
     # -- submission ------------------------------------------------------
-    def submit(self, graph: TaskGraph, *, recorder=None, injector=None,
+    def submit(self, graph: TaskGraph, *, injector=None,
                on_done: Optional[Callable[[EngineRun], None]] = None
                ) -> EngineRun:
         """Fuse ``graph`` into the running super-DAG; returns its handle."""
         with self._cv:
             if self._shutdown:
                 raise SchedulerError("worker pool is shut down")
-            run = EngineRun(graph, self._order, recorder=recorder,
-                            injector=injector, on_done=on_done)
+            run = EngineRun(graph, self._order, injector=injector,
+                            on_done=on_done)
             self._order += max(1, run.n_tasks)
             if run.n_tasks == 0:
                 run.finalized = True
@@ -194,14 +180,12 @@ class WorkerPool:
     def _worker(self, wid: int) -> None:
         cv = self._cv
         pop = self._ready.pop
-        st = self._wstats[wid] if self._wstats is not None else None
-        task_failed = ExecutionCore.task_failed
         idles = self._idles
         perf = time.perf_counter
         task = run = failure = None     # the task to retire next
         while True:
             with cv:
-                done = (self._retire(task, run, failure, st)
+                done = (self._retire(task, run, failure)
                         if run is not None else None)
                 task = run = failure = None
                 while done is None:
@@ -213,12 +197,8 @@ class WorkerPool:
                         self._parked += 1
                         cv.wait()
                         self._parked -= 1
-                        pb = perf()
-                        if st is not None:
-                            st.parks += 1
-                            st.park_s += pb - pa
                         if idles is not None:
-                            idles.append((wid, pa, pb))
+                            idles.append((wid, pa, perf()))
                         continue
                     task, run = entry
                     if not run.finalized:
@@ -231,8 +211,6 @@ class WorkerPool:
                 # nobody else's to signal.
                 self._complete(done)
                 continue
-            if st is not None and len(st.depth_samples) >= _DEPTH_FLUSH:
-                self._flush_depth(wid, st)
             inj = run.injector
             a = perf()
             try:
@@ -252,8 +230,7 @@ class WorkerPool:
                                          task.priority, task.seq))
 
     def _retire(self, task, run: EngineRun,
-                failure: Optional[BaseException],
-                st: Optional[WorkerStats]) -> Optional[EngineRun]:
+                failure: Optional[BaseException]) -> Optional[EngineRun]:
         """Account for a task that returned or raised; called under the
         pool lock.  Returns ``run`` when this retirement completes it:
         the caller then owns the completion and must :meth:`_complete`
@@ -266,20 +243,11 @@ class WorkerPool:
         """
         run.inflight -= 1
         run.remaining -= 1
-        run.n_executed += 1
         if failure is not None:
             run.errors.append(failure)
             run.finalized = True
         elif not run.finalized:
-            ready = self._ready
-            if st is None:
-                made_ready = run.release(task, ready)
-            else:
-                ra = time.perf_counter()
-                made_ready = run.release(task, ready)
-                rb = time.perf_counter()
-                st.dep_s += rb - ra
-                st.depth_samples.append((rb - self._t0, float(len(ready))))
+            made_ready = run.release(task, self._ready)
             # This worker pops one of them itself.
             if made_ready > 1 and self._parked:
                 self._cv.notify(made_ready - 1)
@@ -296,19 +264,6 @@ class WorkerPool:
         """The engine's single emission point, outside the pool lock
         (``on_done`` hooks may take other locks)."""
         run.finish(self.n_workers, self._worker_names)
-
-    # -- telemetry -------------------------------------------------------
-    def _flush_depth(self, wid: int, st: WorkerStats) -> None:
-        """Export and clear one worker's queue-depth samples.
-
-        Unlike the one-shot facade (which merges once after join), a
-        persistent pool must flush periodically or the sample lists grow
-        without bound over the session's lifetime.  Timestamps are
-        pool-epoch relative (seconds since construction).
-        """
-        rec = self.recorder
-        if rec is not None and getattr(rec, "enabled", False):
-            st.flush_depth(rec, wid)
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self) -> None:
@@ -337,11 +292,6 @@ class WorkerPool:
                 run.finalized = True
         for run in stranded:
             self._complete(run)
-        rec = self.recorder
-        if (rec is not None and getattr(rec, "enabled", False)
-                and self._wstats is not None):
-            for w, st in enumerate(self._wstats):
-                st.emit(rec, w)
 
     # -- introspection (health endpoint) ---------------------------------
     @property
@@ -382,23 +332,20 @@ class ThreadScheduler:
     trace.
     """
 
-    def __init__(self, n_workers: Optional[int] = None, recorder=None,
-                 injector=None):
+    def __init__(self, n_workers: Optional[int] = None, injector=None):
         if n_workers is None:
             n_workers = default_thread_workers()
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.recorder = recorder
         self.injector = injector
         self.trace: Optional[Trace] = None
 
     def run(self, graph: TaskGraph) -> Trace:
-        pool = WorkerPool(self.n_workers, recorder=self.recorder,
-                          worker_names=None, record_idle=True)
+        pool = WorkerPool(self.n_workers, worker_names=None,
+                          record_idle=True)
         try:
-            run = pool.submit(graph, recorder=self.recorder,
-                              injector=self.injector)
+            run = pool.submit(graph, injector=self.injector)
             run.wait()
         finally:
             pool.shutdown()

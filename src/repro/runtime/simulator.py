@@ -124,14 +124,14 @@ class SimulatedMachine(VirtualExecutor):
     instantaneous rates of all running tasks are recomputed; memory-bound
     tasks on socket *s* each progress at
     ``min(stream_bw, socket_bw / n_mem(s))`` bytes/s.  Readiness,
-    payload execution, faults, the trace and counter emission come
-    from :class:`~repro.runtime.engine.VirtualExecutor`; this class owns
+    payload execution, faults and the trace come from
+    :class:`~repro.runtime.engine.VirtualExecutor`; this class owns
     only the machine model (socket placement and the fluid clock).
     """
 
     def __init__(self, machine: Machine | None = None,
                  n_workers: Optional[int] = None,
-                 execute: bool = True, recorder=None, injector=None):
+                 execute: bool = True, injector=None):
         base = machine or Machine()
         self.machine = base
         # Fewer workers than cores keeps the base socket geometry and
@@ -139,8 +139,7 @@ class SimulatedMachine(VirtualExecutor):
         self.n_workers = n_workers if (n_workers is not None
                                        and n_workers != base.n_cores) \
             else base.n_cores
-        super().__init__(execute=execute, recorder=recorder,
-                         injector=injector)
+        super().__init__(execute=execute, injector=injector)
 
     # -- substrate hooks -------------------------------------------------
     def _virtual_workers(self) -> int:

@@ -12,7 +12,7 @@ bundles and collapsed stacks are all derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 #: Kernel names of the paper's Table II (color code of the DAG and traces),
 #: in the paper's order.

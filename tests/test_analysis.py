@@ -9,7 +9,6 @@ from repro.analysis import (deflation_summary, eigenvalue_error,
                             mrrr_task_graph, orthogonality_error,
                             speedup_curve, total_merge_flops,
                             tridiagonal_residual, worst_case_flops)
-from repro.runtime import Machine
 
 
 def test_orthogonality_error_identity():

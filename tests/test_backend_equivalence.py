@@ -86,23 +86,23 @@ def test_merge_stats_deterministic_across_backends():
 def test_backends_bitwise_identical_with_service_layer(tmp_path, backend,
                                                        workers):
     # The live-observability layer (per-solve trace folded into the
-    # session metrics, digest-backed telemetry, postmortem_dir
-    # configured) must not perturb a single bit of the results on any
-    # backend.
+    # session metrics, postmortem_dir configured) and the telemetry view
+    # must not perturb a single bit of the results on any backend.
     from repro.core.session import SolverSession
-    from repro.obs import Collector
+    from repro.obs import solve_metrics
 
     d, e = table3_matrix(4, 150, seed=18)
     lam0, V0 = _solve(d, e, "sequential")
-    opts = DCOptions(postmortem_dir=str(tmp_path), telemetry=Collector())
+    opts = DCOptions(postmortem_dir=str(tmp_path))
     with SolverSession(backend=backend, n_workers=workers,
                        options=opts) as s:
-        lam, V = s.solve(d, e)
-        np.testing.assert_array_equal(lam0, lam)
-        np.testing.assert_array_equal(V0, V)
-        # The digest-backed histograms saw the solve...
-        col = s.options.telemetry
-        assert col.hist_stats("merge.deflation_ratio")["count"] > 0
+        res = s.solve(d, e, full_result=True)
+        m = solve_metrics(res, s.stats())
+        np.testing.assert_array_equal(lam0, res.lam)
+        np.testing.assert_array_equal(V0, res.V)
+        # The session digests and the view both saw the solve...
+        assert s.metrics.digest_stats()["deflation_ratio"]["count"] > 0
+        assert m.counters["merge.count"] == len(res.info.ctx.merge_stats)
     # ...and a healthy solve never writes a post-mortem bundle.
     assert not list(tmp_path.glob("*.jsonl"))
 

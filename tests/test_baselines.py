@@ -7,7 +7,6 @@ from repro import dc_eigh
 from repro.baselines import (bisect_invit_eigh, lapack_dc_eigh,
                              lapack_dc_makespan, scalapack_dc_eigh,
                              scalapack_dc_makespan, CommModel)
-from repro.runtime import Machine
 
 
 def tridiag(d, e):

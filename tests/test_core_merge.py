@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DCContext, DCOptions, FIG3_CONFIGS, build_tree, submit_dc
+from repro.core import DCContext, DCOptions, FIG3_CONFIGS, submit_dc
 from repro.core.costs import (cost_compute_deflation, cost_laed4,
                               cost_permute, cost_stedc, cost_update_vect)
 from repro.core.merge import panel_ranges

@@ -3,9 +3,8 @@ the paper claims in Sec. IV — matrix-independent DAG, O(1) dependencies
 per panel task via GATHERV, level overlap, Fig. 2 structure."""
 
 import numpy as np
-import pytest
 
-from repro.core import DCContext, DCOptions, build_tree, submit_dc
+from repro.core import DCContext, DCOptions, submit_dc
 from repro.runtime import TaskGraph, SequentialScheduler
 
 

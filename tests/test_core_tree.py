@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import build_tree
-from repro.core.tree import Node
 
 
 def test_paper_example_fig2():

@@ -3,7 +3,6 @@ the fast ones must run clean (keeps the examples from bit-rotting)."""
 
 import importlib.util
 import os
-import sys
 
 import pytest
 

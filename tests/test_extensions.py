@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro import dc_eigh
 from repro.analysis import (dc_workspace_bytes, mrrr_workspace_bytes,
                             workspace_report)
-from repro.runtime import Machine, SimulatedMachine
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.analysis import orthogonality_error, tridiagonal_residual
 from repro.core.options import DCOptions
 from repro.errors import ConvergenceError
 from repro.kernels.secular import solve_secular
-from repro.obs import Collector
+from repro.obs import solve_metrics
 
 GATE = 1e-13   # both metrics are normalized by n; paper scale is ~1e-16
 
@@ -61,19 +61,20 @@ def test_fallback_on_root_merge_only(broken_root_secular, backend):
 
 def test_fallback_counted_in_telemetry(broken_secular):
     d, e = _problem()
-    col = Collector()
-    res = dc_eigh(d, e, options=DCOptions(telemetry=col), full_result=True)
+    res = dc_eigh(d, e, full_result=True)
     stats = res.info.ctx.merge_stats
     assert stats and all(s.fallback for s in stats)
-    assert col.counters["solve.fallbacks"] == len(stats)
+    counters = solve_metrics(res).counters
+    assert counters["solve.fallbacks"] == len(stats)
+    # No secular root was solved, so no secular name has a value.
+    assert not {"secular.roots", "secular.sweeps"} & set(counters)
     assert orthogonality_error(res.V) < GATE
 
 
 def test_no_fallback_on_healthy_solve():
     d, e = _problem()
-    col = Collector()
-    res = dc_eigh(d, e, options=DCOptions(telemetry=col), full_result=True)
-    assert "solve.fallbacks" not in col.counters
+    res = dc_eigh(d, e, full_result=True)
+    assert "solve.fallbacks" not in solve_metrics(res).counters
     assert not any(s.fallback for s in res.info.ctx.merge_stats)
 
 

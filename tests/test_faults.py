@@ -10,7 +10,6 @@ from repro import dc_eigh, dc_eigh_many
 from repro.core.options import DCOptions
 from repro.core.solver import SolveFailure
 from repro.errors import InjectedFault, InputError, TaskFailure
-from repro.obs import Collector
 from repro.runtime import (TaskGraph, SequentialScheduler, ThreadScheduler,
                            SimulatedMachine, FaultInjector, FaultSpec)
 from repro.runtime.task import DataHandle, OUTPUT
@@ -199,26 +198,30 @@ def test_thread_cancellation_drains_and_joins_quickly():
 
 
 def test_cancellation_counters():
+    # The failed run's trace counts what completed before the first
+    # failure; the failed task is not among it.
     d, e = _problem()
-    col = Collector()
-    opts = DCOptions(telemetry=col,
-                     fault_injection=FaultSpec(kernel="LAED4", nth=0))
-    with pytest.raises(TaskFailure):
+    opts = DCOptions(fault_injection=FaultSpec(kernel="LAED4", nth=0))
+    with pytest.raises(TaskFailure) as info:
         dc_eigh(d, e, options=opts, backend="threads")
-    assert col.counters.get("scheduler.failures", 0) >= 1
-    assert col.counters.get("scheduler.cancelled_tasks", 0) >= 1
+    failure = info.value
+    names = [ev.name for ev in failure.trace.events]
+    # The failing LAED4's merge waited for its two leaves.
+    assert names.count("STEDC") >= 2
+    assert failure.seq not in {ev.seq for ev in failure.trace.events}
 
 
 def test_sequential_cancellation_counters():
+    # A fault on t4 of 10: the partial trace holds exactly t0-t3, so the
+    # other 6 (the failed task and 5 cancelled) never ran.
     g = TaskGraph()
     for i in range(10):
         g.insert_task(lambda: None, [(DataHandle(), OUTPUT)], name=f"t{i}")
-    col = Collector()
     inj = FaultInjector(FaultSpec(task_seq=4))
-    with pytest.raises(TaskFailure, match="'t4'"):
-        SequentialScheduler(recorder=col, injector=inj).run(g)
-    assert col.counters["scheduler.failures"] == 1
-    assert col.counters["scheduler.cancelled_tasks"] == 5
+    with pytest.raises(TaskFailure, match="'t4'") as info:
+        SequentialScheduler(injector=inj).run(g)
+    events = info.value.trace.events
+    assert [ev.name for ev in events] == ["t0", "t1", "t2", "t3"]
 
 
 def test_simulated_injection():

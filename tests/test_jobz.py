@@ -20,7 +20,7 @@ from repro.core.graph_cache import graph_template_cache, template_key
 from repro.errors import ConvergenceError, InjectedFault, TaskFailure
 from repro.matrices import MATRIX_TYPES
 from repro.matrices import test_matrix as table3_matrix
-from repro.obs import Collector
+from repro.obs import solve_metrics
 from repro.runtime import FaultSpec
 
 N_OPTS = DCOptions(jobz="N")
@@ -202,9 +202,8 @@ def test_high_water_gauge_collapses_in_n_mode():
     d, e = table3_matrix(4, 400, seed=4)
 
     def high_water(jobz):
-        col = Collector()
-        dc_eigh(d, e, options=DCOptions(jobz=jobz, telemetry=col))
-        return col.gauges["workspace.high_water_bytes"]
+        res = dc_eigh(d, e, options=DCOptions(jobz=jobz), full_result=True)
+        return solve_metrics(res).gauges["workspace.high_water_bytes"]
 
     hw_v, hw_n = high_water("V"), high_water("N")
     assert hw_n < 0.10 * hw_v
@@ -215,6 +214,7 @@ def test_high_water_gauge_collapses_in_n_mode():
 
 def test_solve_jobz_counter_reaches_telemetry():
     d, e = table3_matrix(4, 120, seed=8)
-    col = Collector()
-    dc_eigh(d, e, options=DCOptions(jobz="N", telemetry=col))
-    assert col.counters.get("solve.jobz.N") == 1
+    res = dc_eigh(d, e, options=DCOptions(jobz="N"), full_result=True)
+    counters = solve_metrics(res).counters
+    assert counters.get("solve.jobz.N") == 1
+    assert "solve.jobz.V" not in counters

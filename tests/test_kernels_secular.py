@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import (solve_secular, secular_function, delta_matrix,
+from repro.kernels import (solve_secular, delta_matrix,
                            eigenvalues_from_roots)
 
 
@@ -59,7 +59,6 @@ def test_origin_is_nearest_pole():
     rng = np.random.default_rng(5)
     d, z, rho = random_system(rng, 40)
     r = solve_secular(d, z, rho)
-    ext = np.concatenate([d, [d[-1] + rho]])
     for j in range(40):
         dist_orig = abs(r.lam[j] - d[r.orig[j]])
         dist_other = np.min(np.abs(np.delete(d, r.orig[j]) - r.lam[j]))

@@ -223,6 +223,20 @@ def test_session_records_metrics_and_kernels():
         assert s.stats()["metrics"]["solves"] == 2
 
 
+def test_session_secular_iterations_are_per_root_means():
+    # One sample per merge: the mean LAED4 iterations of its roots (not
+    # the merge's panel sweeps divided by k).
+    d, e = table3_matrix(4, 300, seed=5)
+    with SolverSession(backend="sequential") as s:
+        res = s.solve(d, e, full_result=True)
+        st = s.metrics.digest_stats()["secular_iterations"]
+    means = [sum(m.secular_iterations) / len(m.secular_iterations)
+             for m in res.info.ctx.merge_stats if m.secular_iterations]
+    assert st["count"] == len(means)
+    assert st["sum"] == pytest.approx(sum(means))
+    assert st["mean"] > 1.0
+
+
 # ---------------------------------------------------------------------------
 # Post-mortem bundles
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mrrr import (bisect_eigenvalues, bisect_ldl, dqds_progressive,
                         dstqds, gershgorin, getvec, ldl_factor, mrrr_eigh,
                         sturm_count, sturm_count_ldl, twist_data)
-from repro.mrrr.bisect import bisect_ldl_multi, sturm_count_ldl_multi
+from repro.mrrr.bisect import sturm_count_ldl_multi
 from repro.mrrr.solver import _split_blocks, _tridiag_solve_shifted
 
 

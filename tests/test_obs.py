@@ -1,20 +1,25 @@
 """Tests for the observability subsystem (repro/obs).
 
-Recorder semantics, zero-impact-on-results guarantee, scheduler/cache
-counters, numeric-health metrics, the exporters, and the CLI dump path.
+The telemetry view over a finished solve (``solve_metrics``), the
+ready-depth reconstruction, the exporters, and the CLI dump path.
 """
 
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import DCOptions, dc_eigh, graph_template_cache, template_key
+from repro.core import DCOptions, dc_eigh, graph_template_cache
+from repro.core.session import SolverSession
 from repro.matrices import test_matrix as make_test_matrix
-from repro.obs import (NULL_RECORDER, Collector, NullRecorder, chrome_trace,
-                       prometheus_text, telemetry_block, telemetry_summary,
-                       write_jsonl)
+from repro.obs import (SolveMetrics, chrome_trace, collapsed_stacks,
+                       merge_spans_from_trace, prometheus_text, solve_metrics,
+                       telemetry_block, telemetry_summary, write_jsonl)
+from repro.obs.metrics import ready_depth
+from repro.runtime import TaskGraph, Trace, TraceEvent
+from repro.runtime.task import INOUT, INPUT, OUTPUT, DataHandle
 
 
 @pytest.fixture(scope="module")
@@ -22,158 +27,188 @@ def problem():
     return make_test_matrix(4, 120, seed=0)
 
 
-def _solve(d, e, collector=None, **kw):
-    opts = DCOptions(minpart=32, telemetry=collector)
-    return dc_eigh(d, e, options=opts, full_result=True, **kw)
+def _solve(d, e, **kw):
+    return dc_eigh(d, e, options=DCOptions(minpart=32), full_result=True,
+                   **kw)
 
 
-# -- recorders --------------------------------------------------------------
-
-def test_null_recorder_is_inert():
-    r = NullRecorder()
-    assert r.enabled is False
-    with r.span("solve", n=5) as s:
-        assert s is not None
-    r.add("x")
-    r.observe("x", 1.0)
-    r.observe_many("x", [1.0, 2.0])
-    r.gauge_max("x", 3.0)
-    r.sample("x", 1.0)
-    r.bulk_samples("x", 0, [(0.0, 1.0)])
-    r.event("x")
-    assert not hasattr(r, "__dict__")        # __slots__: truly stateless
-
-
-def test_null_recorder_singleton_span_reused():
-    a = NULL_RECORDER.span("a")
-    b = NULL_RECORDER.span("b")
-    assert a is b                            # no per-call allocation
-
-
-def test_collector_counters_hists_gauges():
-    c = Collector()
-    assert c.enabled is True
-    c.add("n")
-    c.add("n", 2.0)
-    assert c.counter("n") == 3.0
-    assert c.counter("missing", -1.0) == -1.0
-    c.observe("h", 4.0)
-    c.observe_many("h", [1.0, 2.0, 3.0])
-    st = c.hist_stats("h")
-    assert st["count"] == 4 and st["min"] == 1.0 and st["max"] == 4.0
-    assert st["sum"] == 10.0
-    assert c.hist_stats("missing") is None
-    c.gauge_max("g", 5.0)
-    c.gauge_max("g", 2.0)
-    assert c.gauges["g"] == 5.0
-    c.bulk_samples("s", 1, [(0.0, 1.0), (1.0, 2.0)])
-    # Series are bounded deques now (SERIES_MAXLEN); content is intact.
-    assert list(c.series[("s", 1)]) == [(0.0, 1.0), (1.0, 2.0)]
-
-
-def test_collector_span_nesting():
-    c = Collector()
-    with c.span("outer", n=3):
-        with c.span("inner"):
-            pass
-        with c.span("inner2"):
-            pass
-    spans = c.span_tree()
-    assert [s.name for s in spans] == ["outer", "inner", "inner2"]
-    outer = spans[0]
-    assert outer.parent == -1 and outer.attrs == {"n": 3}
-    assert all(s.parent == outer.sid for s in spans[1:])
-    assert all(s.t1 >= s.t0 for s in spans)
-
-
-# -- zero impact on results -------------------------------------------------
+# -- the view ---------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ["sequential", "threads"])
 def test_results_bitwise_identical_with_telemetry(problem, backend):
+    # The view is read after the solve: it cannot touch the numbers.
     d, e = problem
     kw = {"n_workers": 3} if backend == "threads" else {}
     base = _solve(d, e, backend=backend, **kw)
-    inst = _solve(d, e, collector=Collector(), backend=backend, **kw)
+    inst = _solve(d, e, backend=backend, **kw)
+    solve_metrics(inst)
     assert np.array_equal(base.lam, inst.lam)
     assert np.array_equal(base.V, inst.V)
 
 
-def test_telemetry_excluded_from_options_identity(problem):
-    assert DCOptions() == DCOptions(telemetry=Collector())
-    n = 256
-    opts = DCOptions(telemetry=Collector())
-    assert template_key(n, opts) == template_key(n, DCOptions())
+def test_telemetry_excluded_from_options_identity():
+    # No option turns telemetry on: DCOptions carries no sink at all.
+    names = [f.name for f in dataclasses.fields(DCOptions)]
+    assert len(names) == 12 and "telemetry" not in names
 
 
-# -- instrumentation sites --------------------------------------------------
+def test_solve_metrics_from_plain_solve(problem):
+    # A plain solve carries its own telemetry: no option, no sink.
+    d, e = problem
+    res = dc_eigh(d, e, full_result=True)
+    m = solve_metrics(res)
+    c = m.counters
+    merges = res.info.ctx.merge_stats
+    assert c["scheduler.tasks"] == len(res.graph.tasks)
+    assert c["merge.count"] == len(merges)
+    assert len(m.hists["secular.iterations"]) == c["secular.roots"]
+    assert c["secular.sweeps"] == sum(s.secular_sweeps for s in merges)
+    # Sequential: every task has a ready depth; nothing parks.
+    assert len(m.hists["scheduler.ready_depth"]) == len(res.graph.tasks)
+    assert "scheduler.park.count" not in c
+
 
 def test_solver_spans_and_counters(problem):
+    # The solve-level counters; the wall-clock spans are gone (the
+    # ledger measures those layers itself).
     d, e = problem
-    col = Collector()
-    _solve(d, e, collector=col)
-    names = [s.name for s in col.span_tree()]
-    assert names[0] == "solve"
-    assert "graph.build" in names and "execute" in names
-    assert "finalize" in names
-    assert col.counter("solve.count") == 1
-    assert col.counter("solve.tasks_submitted") > 0
-    assert col.counter("scheduler.tasks") == col.counter(
-        "solve.tasks_submitted")
+    res = _solve(d, e)
+    c = solve_metrics(res).counters
+    assert c["solve.count"] == 1 and c["solve.jobz.V"] == 1
+    assert c["solve.tasks_submitted"] > 0
+    assert c["scheduler.tasks"] == c["solve.tasks_submitted"]
+
+
+def test_solve_metrics_of_a_1x1_solve():
+    res = dc_eigh(np.array([2.0]), np.zeros(0), full_result=True)
+    m = solve_metrics(res)
+    assert m.counters == {"solve.count": 1.0, "solve.jobz.V": 1.0,
+                          "solve.tasks_submitted": 0.0,
+                          "scheduler.tasks": 0.0}
+    assert not m.gauges and not m.hists and not m.series
+
+
+def test_numeric_view_identical_across_backends(problem):
+    # Merge stats are schedule independent, so every numeric name of
+    # the view is the same on every backend.
+    d, e = problem
+
+    def numeric(res):
+        m = solve_metrics(res)
+        return ({k: v for k, v in m.counters.items()
+                 if not k.startswith("scheduler.")},
+                m.gauges,
+                {k: v for k, v in m.hists.items()
+                 if not k.startswith("scheduler.")})
+
+    ref = numeric(_solve(d, e))
+    assert numeric(_solve(d, e, backend="threads", n_workers=3)) == ref
+    assert numeric(_solve(d, e, backend="simulated", n_workers=4)) == ref
+
+
+def test_numeric_health_metrics(problem):
+    d, e = problem
+    m = solve_metrics(_solve(d, e))
+    dr = m.hist_stats("merge.deflation_ratio")
+    assert dr is not None and dr["count"] == m.counters["merge.count"]
+    assert 0.0 <= dr["max"] <= 1.0
+    g = m.hist_stats("merge.deflation_ratio.givens")
+    z = m.hist_stats("merge.deflation_ratio.smallz")
+    assert g["count"] == z["count"] == dr["count"]
+    for a, b, c in zip(m.hists["merge.deflation_ratio"],
+                       m.hists["merge.deflation_ratio.givens"],
+                       m.hists["merge.deflation_ratio.smallz"]):
+        assert a == pytest.approx(b + c)
+    it = m.hist_stats("secular.iterations")
+    assert it is not None and it["count"] == m.counters["secular.roots"]
+    assert it["min"] >= 0 and it["mean"] > 1
+    assert m.gauges["workspace.high_water_bytes"] > 0
+    assert m.gauges["workspace.x_block_bytes"] > 0
 
 
 def test_thread_scheduler_counters(problem):
     d, e = problem
-    col = Collector()
-    res = _solve(d, e, collector=col, backend="threads", n_workers=3)
-    c = col.counters
+    res = _solve(d, e, backend="threads", n_workers=3)
+    m = solve_metrics(res)
+    c = m.counters
     assert c["scheduler.tasks"] == len(res.graph.tasks)
-    assert "scheduler.park.count" in c
-    assert c.get("scheduler.dep_resolve.time_s", -1) >= 0
-    qd = col.hist_stats("scheduler.queue_depth")
-    assert qd is not None and qd["count"] == len(res.graph.tasks)
-    # Satellite: park intervals are measured into the trace.
+    # Park counters are the trace's measured park intervals.
+    assert c["scheduler.park.count"] == len(res.trace.idle_intervals)
+    assert c["scheduler.park.time_s"] == pytest.approx(
+        sum(b - a for _, a, b in res.trace.idle_intervals))
+    rd = m.hist_stats("scheduler.ready_depth")
+    assert rd is not None and rd["count"] == len(res.graph.tasks)
     for w, a, b in res.trace.idle_intervals:
         assert 0 <= w < 3 and b > a
 
 
 def test_simulator_counters(problem):
     d, e = problem
-    col = Collector()
-    res = _solve(d, e, collector=col, backend="simulated", n_workers=4)
-    assert col.counter("scheduler.tasks") == len(res.graph.tasks)
-    assert col.hist_stats("scheduler.ready_depth")["count"] > 0
-    assert ("scheduler.ready_depth", 0) in col.series
+    res = _solve(d, e, backend="simulated", n_workers=4)
+    m = solve_metrics(res)
+    assert m.counters["scheduler.tasks"] == len(res.graph.tasks)
+    assert m.hist_stats("scheduler.ready_depth")["max"] > 0
+    series = m.series[("scheduler.ready_depth", 0)]
+    assert len(series) == len(res.graph.tasks)
+    assert [t for t, _ in series] == sorted(t for t, _ in series)
+
+
+def test_ready_depth_rebuilt_from_trace():
+    # a -> {b, c} -> d on one worker, run a, b, c, d back to back.
+    g = TaskGraph()
+    h1, h2, h3 = DataHandle("1"), DataHandle("2"), DataHandle("3")
+    a = g.insert_task(lambda: None, [(h1, OUTPUT)], name="a")
+    b = g.insert_task(lambda: None, [(h1, INPUT), (h2, OUTPUT)], name="b")
+    c = g.insert_task(lambda: None, [(h1, INPUT), (h3, OUTPUT)], name="c")
+    dd = g.insert_task(lambda: None, [(h2, INPUT), (h3, INOUT)], name="d")
+    trace = Trace(n_workers=1)
+    for i, t in enumerate((a, b, c, dd)):
+        trace.record(TraceEvent(t.uid, t.name, 0, float(i), i + 1.0,
+                                seq=t.seq))
+    # At a's start nothing else is ready; at b's start c is waiting; at
+    # c's start nothing (d waits for c); at d's start nothing.
+    assert ready_depth(trace, g) == [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0),
+                                     (3.0, 0.0)]
+    assert ready_depth(Trace(n_workers=1), g) == []
 
 
 def test_graph_cache_counters(problem):
+    # Cache and arena counters come from the session's stats().
     d, e = problem
     graph_template_cache.clear()
-    col = Collector()
-    opts = DCOptions(minpart=32, reuse_graph=True, telemetry=col)
-    dc_eigh(d, e, options=opts)
-    dc_eigh(d, e, options=opts)
-    assert col.counter("graph_cache.misses") == 1
-    assert col.counter("graph_cache.hits") == 1
-    assert col.hist_stats("graph_cache.build_s")["count"] == 1
-    assert col.hist_stats("graph_cache.instantiate_s")["count"] == 1
+    with SolverSession(backend="sequential",
+                       options=DCOptions(minpart=32)) as s:
+        s.solve(d, e)
+        res = s.solve(d, e, full_result=True)
+        m = solve_metrics(res, s.stats())
+    assert m.counters["graph_cache.misses"] == 1
+    assert m.counters["graph_cache.hits"] == 1
+    assert m.counters["workspace_pool.hits"] > 0
+    assert "graph_cache.hits" not in solve_metrics(res).counters
     graph_template_cache.clear()
 
 
-def test_numeric_health_metrics(problem):
-    d, e = problem
-    col = Collector()
-    _solve(d, e, collector=col)
-    dr = col.hist_stats("merge.deflation_ratio")
-    assert dr is not None and dr["count"] == col.counter("merge.count")
-    assert 0.0 <= dr["max"] <= 1.0
-    g = col.hist_stats("merge.deflation_ratio.givens")
-    z = col.hist_stats("merge.deflation_ratio.smallz")
-    assert g["count"] == z["count"] == dr["count"]
-    it = col.hist_stats("secular.iterations")
-    assert it is not None and it["count"] == col.counter("secular.roots")
-    assert it["min"] >= 0
-    assert col.gauges["workspace.high_water_bytes"] > 0
-    assert col.gauges["workspace.x_block_bytes"] > 0
+def test_strip_kernels_nest_under_their_merge():
+    # jobz='N': the strip kernels (GivensStrip, PermuteStrip,
+    # UpdateStrip, UpdateEig) belong to their merge like every other
+    # merge kernel.
+    d, e = make_test_matrix(4, 300, seed=3)
+    res = dc_eigh(d, e, options=DCOptions(jobz="N"), full_result=True)
+    merge_tags = {(s.lo, s.hi) for s in res.info.ctx.merge_stats}
+    spans = {(s["lo"], s["hi"]): s for s in merge_spans_from_trace(res.trace)}
+    tagged = [ev for ev in res.trace.events if ev.tag in merge_tags]
+    assert {"GivensStrip", "PermuteStrip", "UpdateStrip",
+            "UpdateEig"} <= {ev.name for ev in tagged}
+    for ev in tagged:
+        span = spans[ev.tag]
+        assert span["t0"] <= ev.t_start and ev.t_end <= span["t1"]
+    stacks = {line.rsplit(" ", 1)[0]
+              for line in collapsed_stacks(res.trace).splitlines()}
+    for ev in tagged:
+        lo, hi = ev.tag
+        level = spans[ev.tag]["level"]
+        assert f"solve;level{level};merge[{lo}:{hi}];{ev.name}" in stacks
+        assert f"solve;{ev.name}" not in stacks
 
 
 # -- exporters --------------------------------------------------------------
@@ -181,39 +216,34 @@ def test_numeric_health_metrics(problem):
 @pytest.fixture(scope="module")
 def instrumented(problem):
     d, e = problem
-    col = Collector()
-    opts = DCOptions(minpart=32, telemetry=col)
-    res = dc_eigh(d, e, options=opts, backend="threads", n_workers=3,
-                  full_result=True)
-    return col, res.trace
+    res = _solve(d, e, backend="threads", n_workers=3)
+    return solve_metrics(res), res.trace
 
 
 def test_write_jsonl(instrumented):
-    col, trace = instrumented
+    m, trace = instrumented
     buf = io.StringIO()
-    n = write_jsonl(buf, col, trace)
+    n = write_jsonl(buf, m, trace)
     lines = [json.loads(ln) for ln in buf.getvalue().splitlines()]
     assert len(lines) == n > 0
-    assert lines[0]["type"] == "meta" and lines[0]["version"] == 1
+    assert lines[0]["type"] == "meta" and lines[0]["version"] == 2
     assert lines[0]["n_workers"] == 3
     types = {ln["type"] for ln in lines}
-    assert {"meta", "task", "span", "counter", "hist",
-            "gauge", "sample"} <= types
+    assert {"meta", "task", "counter", "hist", "gauge", "sample"} <= types
+    assert not {"span", "event"} & types
 
 
 def test_chrome_trace_document(instrumented):
-    col, trace = instrumented
-    doc = chrome_trace(trace, col)
+    m, trace = instrumented
+    doc = chrome_trace(trace, m)
     assert json.loads(json.dumps(doc)) == doc
     events = doc["traceEvents"]
     phases = {e["ph"] for e in events}
     assert {"M", "C", "X"} <= phases
-    pids = {e["pid"] for e in events}
-    assert pids == {0, 1, 2}
-    # Solver spans live on pid 1; merge hierarchy rows on pid 2.
-    span_names = {e["name"] for e in events
-                  if e["ph"] == "X" and e["pid"] == 1}
-    assert "solve" in span_names and "execute" in span_names
+    # Worker rows and counter tracks on pid 0; merge hierarchy on pid 2.
+    assert {e["pid"] for e in events} == {0, 2}
+    counters = {e["name"] for e in events if e["ph"] == "C"}
+    assert counters == {"scheduler.ready_depth"}
     merge_rows = [e for e in events if e["ph"] == "X" and e["pid"] == 2]
     assert merge_rows and all(e["name"].startswith("merge[")
                               for e in merge_rows)
@@ -225,8 +255,8 @@ def test_chrome_trace_document(instrumented):
 
 
 def test_prometheus_text(instrumented):
-    col, trace = instrumented
-    text = prometheus_text(col, trace)
+    m, trace = instrumented
+    text = prometheus_text(m, trace)
     assert "# TYPE repro_scheduler_tasks_total counter" in text
     assert "repro_trace_makespan_seconds" in text
     assert 'quantile="0.9"' in text
@@ -235,32 +265,29 @@ def test_prometheus_text(instrumented):
 
 
 def test_exporters_on_empty_collector():
-    # Edge case: a Collector that never saw a solve must still export
+    # Edge case: an empty view (no solve behind it) must still export
     # valid documents from every format.
-    empty = Collector()
+    empty = SolveMetrics()
     buf = io.StringIO()
     n = write_jsonl(buf, empty)
     lines = [json.loads(ln) for ln in buf.getvalue().splitlines()]
     assert len(lines) == n == 1 and lines[0]["type"] == "meta"
-    from repro.runtime.trace import Trace
     doc = chrome_trace(Trace(n_workers=0), empty)
     assert json.loads(json.dumps(doc)) == doc
-    text = prometheus_text(empty)
-    assert text == "\n"
+    assert prometheus_text(empty) == "\n"
     from tests.test_live_obs import assert_prometheus_grammar
-    empty.add("x")
+    empty.counters["x"] = 1.0
     assert_prometheus_grammar(prometheus_text(empty))
 
 
 def test_telemetry_block_deterministic_across_identical_solves(problem):
     # Two identical simulated solves must produce identical telemetry
-    # blocks (virtual time is deterministic, digests included).
+    # blocks (virtual time is deterministic).
     d, e = problem
 
     def block():
-        col = Collector()
-        res = _solve(d, e, collector=col, backend="simulated", n_workers=4)
-        return telemetry_block(col, res.trace)
+        res = _solve(d, e, backend="simulated", n_workers=4)
+        return telemetry_block(solve_metrics(res), res.trace)
 
     a, b = block(), block()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -278,11 +305,10 @@ def test_prometheus_hostile_names_escaped():
     assert prom_name("9lives") == "repro_9lives"
     assert prom_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
 
-    col = Collector()
-    col.add('hostile metric{say="hi"}')
-    col.observe('also.bad-name percentile', 1.0)
-    col.gauge_max("trailing.dot.", 2.0)
-    text = prometheus_text(col)
+    m = SolveMetrics(counters={'hostile metric{say="hi"}': 1.0},
+                     gauges={"trailing.dot.": 2.0},
+                     hists={"also.bad-name percentile": [1.0]})
+    text = prometheus_text(m)
     from tests.test_live_obs import assert_prometheus_grammar
     assert_prometheus_grammar(text)
     assert "repro_hostile_metric_say__hi___total 1" in text
@@ -290,47 +316,27 @@ def test_prometheus_hostile_names_escaped():
     assert "repro_trailing_dot_ 2" in text
 
 
-def test_digest_backed_hists_in_collector():
-    # The high-cardinality histograms stream through digests: exact
-    # counts/min/max/sum, bounded memory, and hist_stats-compatible.
-    col = Collector()
-    col.observe_many("merge.deflation_ratio", [0.1, 0.2, 0.3])
-    col.observe("secular.iterations", 4.0)
-    col.observe("some.small.hist", 1.0)          # stays a plain list
-    assert "merge.deflation_ratio" in col.digests
-    assert "some.small.hist" not in col.digests
-    st = col.hist_stats("merge.deflation_ratio")
-    assert st["count"] == 3 and st["min"] == 0.1 and st["max"] == 0.3
-    assert st["sum"] == pytest.approx(0.6)
-    assert set(col.hist_names()) == {"merge.deflation_ratio",
-                                     "secular.iterations",
-                                     "some.small.hist"}
-
-
 def test_telemetry_block_and_summary(instrumented):
-    col, trace = instrumented
-    block = telemetry_block(col, trace)
+    m, trace = instrumented
+    block = telemetry_block(m, trace)
     assert block["n_tasks"] == len(trace.events)
     assert 0.0 <= block["idle_fraction"] <= 1.0
     assert block["merge_deflation_ratio"]["count"] > 0
     assert block["secular_iterations"]["count"] > 0
     assert block["workspace_high_water_bytes"] > 0
-    text = telemetry_summary(col, trace)
-    for needle in ("park cycles", "deflation ratio", "LAED4 iterations",
-                   "solve phases", "workspace peak"):
+    text = telemetry_summary(m, trace)
+    for needle in ("park cycles", "ready depth", "deflation ratio",
+                   "LAED4 iterations", "workspace peak"):
         assert needle in text
     # Degenerate inputs stay usable.
     assert telemetry_block(None) == {}
     assert telemetry_summary(None) == ""
-    empty = Collector()
-    assert "deflation ratio  : (none)" in telemetry_summary(empty)
+    assert "deflation ratio  : (none)" in telemetry_summary(SolveMetrics())
 
 
 def test_pool_trace_worker_thread_names(problem):
     # Satellite: WorkerPool traces carry pool-worker-N thread_name
     # metadata so Perfetto rows are identifiable in long-lived sessions.
-    from repro.core.session import SolverSession
-
     d, e = problem
     with SolverSession(backend="threads", n_workers=3) as s:
         res = s.solve(d, e, full_result=True)
@@ -357,4 +363,7 @@ def test_cli_trace_out(tmp_path, capsys):
         doc = json.load(fh)
     assert doc["traceEvents"]
     with open(out / "trace.jsonl") as fh:
-        assert all(json.loads(ln) for ln in fh)
+        lines = [json.loads(ln) for ln in fh]
+    assert lines[0]["version"] == 2
+    assert np.isfinite([ln["value"] for ln in lines
+                        if ln["type"] == "counter"]).all()

@@ -86,7 +86,7 @@ def test_gatherv_keeps_join_dependency_count_constant():
     g = TaskGraph()
     V = DataHandle("V")
     defl = DataHandle("defl")
-    d = g.insert_task(noop, [(defl, OUTPUT), (V, INOUT)], name="deflate")
+    g.insert_task(noop, [(defl, OUTPUT), (V, INOUT)], name="deflate")
     panels = [g.insert_task(noop, [(defl, INPUT), (V, GATHERV)], name="p")
               for _ in range(64)]
     join = g.insert_task(noop, [(V, INOUT)], name="reduce")
@@ -107,10 +107,10 @@ def test_duplicate_edges_are_collapsed():
 def test_levels_and_counts():
     g = TaskGraph()
     h = DataHandle("x")
-    t1 = g.insert_task(noop, [(h, OUTPUT)], name="a")
-    t2 = g.insert_task(noop, [(h, INOUT)], name="b")
-    t3 = g.insert_task(noop, [(h, INPUT)], name="c")
-    t4 = g.insert_task(noop, [(h, INPUT)], name="c")
+    g.insert_task(noop, [(h, OUTPUT)], name="a")
+    g.insert_task(noop, [(h, INOUT)], name="b")
+    g.insert_task(noop, [(h, INPUT)], name="c")
+    g.insert_task(noop, [(h, INPUT)], name="c")
     levels = g.levels()
     assert [len(l) for l in levels] == [1, 1, 2]
     assert g.kernel_counts() == {"a": 1, "b": 1, "c": 2}

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DCContext, DCOptions, submit_dc
 from repro.runtime import (ClusterMachine, DataHandle, INPUT, Machine,
-                           Network, OUTPUT, SequentialScheduler, TaskCost,
+                           Network, OUTPUT, TaskCost,
                            TaskGraph, tree_placement)
 
 

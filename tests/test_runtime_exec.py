@@ -1,12 +1,11 @@
 """Execution-backend tests: sequential, threads, and simulator."""
 
 import threading
-import time
 
 import pytest
 
 from repro.errors import InputError
-from repro.runtime import (INPUT, OUTPUT, INOUT, GATHERV,
+from repro.runtime import (INPUT, OUTPUT, INOUT,
                            DataHandle, Machine, Quark, SequentialScheduler,
                            SimulatedMachine, TaskGraph, TaskCost,
                            ThreadScheduler)

@@ -1,7 +1,6 @@
 """Tests for the heterogeneous machine extension (repro.runtime.hetero)."""
 
 import numpy as np
-import pytest
 
 from repro.core import DCContext, DCOptions, submit_dc
 from repro.runtime import (Accelerator, DataHandle, GPU_OFFLOAD_POLICY,

@@ -166,11 +166,14 @@ def test_template_key_separates_scheduling_plans():
 
 
 def test_schedule_counters_recorded():
-    from repro.obs import Collector
-    col = Collector()
+    from repro.obs import solve_metrics
     d, e = table3_matrix(4, 500, seed=25)
-    dc_eigh(d, e, options=DCOptions(telemetry=col))
-    assert col.hist_stats("schedule.level_nb")["count"] > 0
+    opts = DCOptions(adaptive_nb=True)
+    res = dc_eigh(d, e, options=opts, full_result=True)
+    level_nb = solve_metrics(res).hists["schedule.level_nb"]
+    # One width per merge level, bottom-up: the policy's plan.
+    levels = res.info.tree.merges_by_level()
+    assert level_nb == [opts.node_nb(lv[0].n, 500) for lv in levels]
 
 
 def test_trace_events_carry_priorities():

@@ -253,19 +253,19 @@ def test_template_cache_lru_eviction_order():
 
 
 def test_cache_eviction_counter_reaches_telemetry():
-    from repro.obs import Collector
+    from repro.obs import solve_metrics, telemetry_block
     graph_template_cache.clear()
     old = graph_template_cache.maxsize
     graph_template_cache.maxsize = 1
     try:
-        col = Collector()
-        opts = DCOptions(reuse_graph=True, telemetry=col)
-        for n in (60, 70):
-            d, e = _problem(n=n)
-            dc_eigh(d, e, options=opts)
-        assert col.counters.get("graph_cache.evictions") == 1
-        from repro.obs import telemetry_block
-        assert telemetry_block(col)["cache_evictions"] == 1
+        with SolverSession(backend="sequential") as s:
+            for n in (60, 70):
+                d, e = _problem(n=n)
+                res = s.solve(d, e, full_result=True)
+            m = solve_metrics(res, s.stats())
+        assert m.counters.get("graph_cache.evictions") == 1
+        assert m.counters.get("graph_cache.misses") == 2
+        assert telemetry_block(m)["cache_evictions"] == 1
     finally:
         graph_template_cache.maxsize = old
         graph_template_cache.clear()
