@@ -6,8 +6,9 @@ performance regressions in the vectorized implementations."""
 import numpy as np
 import pytest
 
+from repro.core import DCContext, DCOptions
 from repro.kernels import (deflate, eigenvector_columns, local_w_product,
-                           reduce_w, solve_secular, steqr, steqr_rows)
+                           reduce_w, solve_secular, steqr)
 from repro.mrrr import bisect_eigenvalues, getvec_batch, ldl_factor
 
 
@@ -75,14 +76,15 @@ def test_bench_steqr_leaf(benchmark):
     assert lam.shape == (64,)
 
 
-def test_bench_steqr_rows_leaf(benchmark):
-    """jobz='N' leaf: eigenvalues plus V's first and last rows, at the
-    leaf size of the ledger's n=2000 solves (minpart 64: leaves of 62
-    and 63)."""
+def test_bench_eigh_block_leaf(benchmark):
+    """One ``STEDC`` leaf task: LAPACK ``dsyevd`` on the dense block, at
+    the leaf size of the ledger's n=2000 solves (minpart 64: leaves of
+    62 and 63)."""
     rng = np.random.default_rng(2)
     d = rng.normal(size=62)
     e = rng.normal(size=61)
-    lam, rows = benchmark(steqr_rows, d, e)
+    ctx = DCContext(d, e, DCOptions(jobz="N"))
+    lam, rows = benchmark(ctx.eigh_block, 0, 62, d, e)
     assert lam.shape == (62,) and rows.shape == (2, 62)
 
 

@@ -32,15 +32,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigh
 
 from ..errors import ConvergenceError, InputError
 from ..kernels.deflation import DeflationResult, deflate, rotation_chains
 from ..kernels.givens import apply_rotation_chains
-from ..kernels.scaling import ScaleInfo, scale_tridiagonal
+from ..kernels.scaling import ScaleInfo, scale_to_unit_norm
 from ..kernels.secular import solve_secular
 from ..kernels.stabilize import (eigenvector_columns, local_w_product,
                                  reduce_w)
-from ..kernels.steqr import steqr, steqr_rows
 from ..kernels.strips import (permute_strip, rotate_strip_columns,
                               stack_boundary_rows, strip_row_products)
 from .options import DCOptions
@@ -164,8 +164,8 @@ class DCContext:
 
     # -- root-level tasks --------------------------------------------------
     def t_scale(self) -> None:
-        self.d, self.e, self.scale_info = scale_tridiagonal(self.d_in,
-                                                            self.e_in)
+        self.d, self.e, self.scale_info = scale_to_unit_norm(self.d_in,
+                                                             self.e_in)
 
     def t_partition(self, tree: Node) -> None:
         """Apply the −|β| corner corrections at every cut (Eq. 5)."""
@@ -183,20 +183,28 @@ class DCContext:
 
     def t_stedc_leaf(self, node: Node) -> None:
         lo, hi = node.lo, node.hi
-        self.D[lo:hi], self.S[:, lo:hi] = self.steqr_block(
+        self.D[lo:hi], self.S[:, lo:hi] = self.eigh_block(
             lo, hi, self.d_adj[lo:hi], self.e[lo:hi - 1])
 
-    def steqr_block(self, lo: int, hi: int, d: np.ndarray,
-                    e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """STEQR-solve ``(d, e)``, block [lo, hi) of T: ``(lam, rows)``.
+    def eigh_block(self, lo: int, hi: int, d: np.ndarray,
+                   e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve ``(d, e)``, block [lo, hi) of T, with LAPACK ``dsyevd``
+        on the dense block: ``(lam, rows)``, ``lam`` ascending.
 
         ``rows`` are the first and last eigenvector rows, which seed the
         boundary-row strip; ``jobz='V'`` also writes the eigenvectors
-        into ``V[lo:hi, lo:hi]``."""
-        if self.V is None:
-            return steqr_rows(d, e)
-        lam, Vb = steqr(d, e)
-        self.V[lo:hi, lo:hi] = Vb
+        into ``V[lo:hi, lo:hi]``.  Both modes make the same call and
+        take ``rows`` from the same matrix, so they agree bitwise."""
+        m = hi - lo
+        T = np.diag(d)
+        T.flat[m::m + 1] = e            # the subdiagonal: eigh reads 'L'
+        try:
+            lam, Vb = eigh(T)
+        except LinAlgError as exc:
+            raise ConvergenceError(
+                f"eigh failed on block [{lo}, {hi}): {exc}") from exc
+        if self.V is not None:
+            self.V[lo:hi, lo:hi] = Vb
         return lam, Vb[[0, -1]]
 
     def t_sort_join(self) -> None:
@@ -280,14 +288,16 @@ class MergeState:
         self._sweeps: dict[int, tuple[int, np.ndarray]] = {}
         # Graceful degradation: when the secular solve of this merge
         # fails (no convergence / non-finite roots), the merge falls
-        # back to STEQR on its subproblem.  The rewrite must happen
-        # after *every* writer of the node's output block has finished —
-        # the writer panels share one GATHERV group on hV, so they carry
-        # no mutual edges and run concurrently under the threads
-        # backend.  Each writer task decrements the countdown when it
-        # completes; the last one performs the fallback.  Detection
-        # always precedes the last writer: every writer depends
-        # (transitively, through ReduceW → hW) on every LAED4 panel.
+        # back to a direct LAPACK solve of its subproblem (the "STEQR
+        # fallback", as the post-mortem reason names it).  The rewrite
+        # must happen after *every* writer of the node's output block
+        # has finished — the writer panels share one GATHERV group on
+        # hV, so they carry no mutual edges and run concurrently under
+        # the threads backend.  Each writer task decrements the
+        # countdown when it completes; the last one performs the
+        # fallback.  Detection always precedes the last writer: every
+        # writer depends (transitively, through ReduceW → hW) on every
+        # LAED4 panel.
         # Writers per mode: jobz='V' has CopyBackDeflated + UpdateVect
         # (+ UpdateStrip below the root); jobz='N' has UpdateStrip only
         # (UpdateEig at the root).
@@ -340,8 +350,8 @@ class MergeState:
             self._apply_fallback()
 
     def _apply_fallback(self) -> None:
-        """Recompute the merge's block directly with STEQR (Sec. II QR
-        iteration) after a secular failure.
+        """Recompute the merge's block directly with
+        :meth:`DCContext.eigh_block` after a secular failure.
 
         After the merge of [lo, hi) completes, the block must hold the
         eigendecomposition of the *scaled* tridiagonal T[lo:hi] with the
@@ -358,7 +368,7 @@ class MergeState:
         if ctx.V is not None:
             ctx.V[:, lo:hi] = 0.0
         try:
-            lam, rows = ctx.steqr_block(lo, hi, d_sub, ctx.e[lo:hi - 1])
+            lam, rows = ctx.eigh_block(lo, hi, d_sub, ctx.e[lo:hi - 1])
         except Exception as exc:
             raise ConvergenceError(
                 f"secular solve failed on merge [{lo}, {hi}) "

@@ -21,9 +21,9 @@ Hierarchy::
     └── SchedulerError    (also RuntimeError) — runtime invariant violated
 
 The boundary validators (:func:`validate_tridiagonal`,
-:func:`validate_subset`) are what turns a would-be
-``RuntimeError: steqr failed to converge for eigenvalue 0`` on a NaN
-input into ``InputError("d[10] is nan")`` before any task runs.
+:func:`validate_subset`) are what turns a NaN input — which LAPACK's
+leaf solve would pass through silently into every later kernel — into
+``InputError("d[10] is nan")`` before any task runs.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class InputError(ReproError, ValueError):
 
 
 class ConvergenceError(ReproError, RuntimeError):
-    """An iterative kernel (STEQR sweep, secular iteration) gave up."""
+    """An iterative kernel gave up: a secular iteration, a LAPACK leaf
+    solve (``LinAlgError``, re-raised) or a QR-iteration sweep."""
 
 
 class TaskFailure(ReproError, RuntimeError):

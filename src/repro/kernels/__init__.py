@@ -1,13 +1,15 @@
 """LAPACK-equivalent numerical kernels, implemented from scratch.
 
+The D&C leaves are the exception: ``STEDC`` leaf tasks call LAPACK
+``dsyevd`` through ``numpy.linalg.eigh`` (``DCContext.eigh_block``), as
+the paper's leaves and LAPACK's own ``dlaed0`` call STEQR.
+
 ================  ==========================  ===========================
 Module            LAPACK analogue             Role in the D&C solver
 ================  ==========================  ===========================
 ``scaling``       DLANST / DLASCL             Scale T / Scale back tasks
 ``givens``        DLARTG / DROT               rotations (deflation, QR)
-``steqr``         DSTEQR (EISPACK tql2)       leaf ``STEDC`` tasks (full V;
-                                              ``steqr_rows``: boundary
-                                              rows only, ``jobz='N'``)
+``steqr``         DSTEQR (EISPACK tql2)       QR-iteration baseline only
 ``secular``       DLAED4                      per-panel ``LAED4`` tasks
 ``deflation``     DLAED2                      ``Compute_deflation`` task
 ``stabilize``     DLAED3/DLAED9               ``ComputeLocalW``/``ReduceW``
@@ -18,7 +20,7 @@ Module            LAPACK analogue             Role in the D&C solver
 
 from .scaling import lanst, scale_tridiagonal, ScaleInfo
 from .givens import lartg, rot, lapy2
-from .steqr import steqr, steqr_rows, sterf
+from .steqr import steqr
 from .secular import (SecularRoots, solve_secular, secular_function,
                       delta_matrix, eigenvalues_from_roots)
 from .deflation import DeflationResult, GivensRotation, deflate, rotation_chains
@@ -33,7 +35,7 @@ from .band import (dense_to_band, band_to_tridiagonal,
 __all__ = [
     "lanst", "scale_tridiagonal", "ScaleInfo",
     "lartg", "rot", "lapy2",
-    "steqr", "steqr_rows", "sterf",
+    "steqr",
     "SecularRoots", "solve_secular", "secular_function", "delta_matrix",
     "eigenvalues_from_roots",
     "DeflationResult", "GivensRotation", "deflate", "rotation_chains",

@@ -1,17 +1,19 @@
-"""Norms and safe scaling of tridiagonal matrices (DLANST / DLASCL).
+"""Norms and scaling of tridiagonal matrices (DLANST / DLASCL).
 
-``dstedc`` scales the tridiagonal matrix so its max-norm sits inside the
-safe range before dividing, and scales the eigenvalues back afterwards;
-the paper's DAG shows this as the ``Scale T`` / ``Scale back`` tasks.
+``dstedc`` scales the tridiagonal matrix to max-norm one before dividing
+(:func:`scale_to_unit_norm`), and scales the eigenvalues back
+afterwards; the paper's DAG shows this as the ``Scale T`` / ``Scale
+back`` tasks.  ``dstemr`` only scales a matrix outside the safe range
+(:func:`scale_tridiagonal`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lanst", "scale_tridiagonal", "ScaleInfo"]
+__all__ = ["lanst", "scale_tridiagonal", "scale_to_unit_norm", "ScaleInfo"]
 
-#: Safe range bounds, mirroring DLAMCH('S')-based RMIN/RMAX in dstedc.
+#: Safe range bounds (DLAMCH('S')-based RMIN/RMAX, as dstemr uses them).
 _EPS = np.finfo(np.float64).eps
 _SAFE_MIN = np.finfo(np.float64).tiny
 _RMIN = np.sqrt(_SAFE_MIN / _EPS)
@@ -85,6 +87,32 @@ def scale_tridiagonal(d: np.ndarray, e: np.ndarray
     if nrm == 0.0 or (_RMIN <= nrm <= _RMAX):
         return d, e, ScaleInfo(1.0)
     sigma = (_RMIN / nrm) if nrm < _RMIN else (_RMAX / nrm)
+    d *= sigma
+    e *= sigma
+    return d, e, ScaleInfo(sigma)
+
+
+def scale_to_unit_norm(d: np.ndarray, e: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, ScaleInfo]:
+    """Scale (d, e) by a power of two to a max-norm in (1/2, 1]; returns
+    copies plus a ScaleInfo.
+
+    The merge's deflation tolerance 8ε·max(|d|, |z|) (DLAED2) compares
+    matrix entries with the unit vector z, so it only holds for a
+    matrix of norm about one, which is why ``dstedc`` scales every block
+    to norm one.  A power of two keeps the scaling exact.
+    """
+    d = np.array(d, dtype=np.float64, copy=True)
+    e = np.array(e, dtype=np.float64, copy=True)
+    nrm = lanst("M", d, e)
+    if nrm == 0.0:
+        return d, e, ScaleInfo(1.0)
+    frac, exp = np.frexp(nrm)          # nrm = frac * 2**exp, frac in [1/2, 1)
+    if frac == 0.5:
+        exp -= 1                        # a power of two scales to exactly 1
+    # Clamped so that sigma and 1/sigma are both normal numbers.
+    exp = min(max(int(exp), -1022), 1022)
+    sigma = float(np.ldexp(1.0, -exp))
     d *= sigma
     e *= sigma
     return d, e, ScaleInfo(sigma)

@@ -1,23 +1,16 @@
 """QR/QL-iteration symmetric tridiagonal eigensolver (DSTEQR equivalent).
 
-Used for the subproblems at the leaves of the D&C tree (the ``STEDC``
-leaf tasks in the paper's DAG run a classical QR-iteration solve) and,
-standalone, as the "QR iterations" related-work baseline.
+The "QR iterations" related-work baseline (``repro-eig solve --solver
+qr``, ``examples/compare_solvers.py``).  The D&C leaves do not use it:
+they call LAPACK through ``numpy.linalg.eigh`` (docs/NUMERICS.md §5).
 
 The implementation follows the implicit-shift QL algorithm of EISPACK's
 ``tql2`` (the same algorithm underlying DSTEQR): for each eigenvalue,
 Wilkinson-shifted implicit QL sweeps drive the off-diagonal to zero;
-rotations are accumulated into the eigenvector matrix.  Eigenvalues are
-returned in ascending order with matching eigenvector columns.
-
-The scalar recurrences run on Python floats.  Eigenvectors are
-accumulated in one of three modes, bitwise equal to each other (see
-docs/NUMERICS.md §5):
-
-``steqr(compute_v=True)``   the full matrix V, stored transposed;
-``steqr_rows``              only V's first and last rows — all a D&C
-                            leaf hands up in ``jobz='N'``;
-``steqr(compute_v=False)``  none.
+rotations are accumulated into the eigenvector matrix, stored
+transposed so each rotation updates two contiguous rows.  The scalar
+recurrences run on Python floats.  Eigenvalues are returned in
+ascending order with matching eigenvector columns.
 """
 
 from __future__ import annotations
@@ -28,20 +21,19 @@ import numpy as np
 
 from ..errors import ConvergenceError, InputError
 
-__all__ = ["steqr", "steqr_rows", "sterf"]
+__all__ = ["steqr"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def steqr(d: np.ndarray, e: np.ndarray, *, compute_v: bool = True,
-          max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray | None]:
+def steqr(d: np.ndarray, e: np.ndarray, *,
+          max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the symmetric tridiagonal matrix ``(d, e)``.
 
     Parameters
     ----------
     d : (n,) diagonal.
     e : (n-1,) off-diagonal.
-    compute_v : accumulate eigenvectors (returns None otherwise).
     max_sweeps : QL sweeps allowed per eigenvalue before raising.
 
     Returns
@@ -55,20 +47,6 @@ def steqr(d: np.ndarray, e: np.ndarray, *, compute_v: bool = True,
     running QR sweeps) and the eigenvectors are flipped back.
     Non-finite input raises :class:`~repro.errors.InputError`.
     """
-    return _solve(d, e, "full" if compute_v else "none", max_sweeps)
-
-
-def steqr_rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues plus the first and last rows of the eigenvector matrix.
-
-    Returns ``(lam, rows)`` with ``rows`` of shape (2, n): bitwise equal
-    to ``lam, V = steqr(d, e)`` and ``V[[0, n - 1], :]``, at O(n) memory
-    and O(1) vector work per rotation instead of O(n²) and O(n).
-    """
-    return _solve(d, e, "rows", 50)
-
-
-def _solve(d, e, vectors: str, max_sweeps: int):
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     if e.shape[0] != max(0, d.shape[0] - 1):
@@ -78,34 +56,26 @@ def _solve(d, e, vectors: str, max_sweeps: int):
         # rather than fail deep in the recurrences.
         raise InputError("tridiagonal input contains non-finite entries")
     try:
-        return _tql2(d, e, vectors, max_sweeps)
+        return _tql2(d, e, max_sweeps)
     except ConvergenceError:
-        lam, V = _tql2(d[::-1], e[::-1], vectors, 2 * max_sweeps)
+        lam, V = _tql2(d[::-1], e[::-1], 2 * max_sweeps)
         # Row j of the reversed matrix's eigenvectors is row n-1-j of
-        # the original's; in "rows" mode that swaps first and last.
-        return lam, (V[::-1] if V is not None else None)
+        # the original's.
+        return lam, V[::-1]
 
 
-def _tql2(d, e, vectors: str, max_sweeps: int):
-    """One QL pass; ``vectors`` is ``"full"``, ``"rows"`` or ``"none"``."""
+def _tql2(d, e, max_sweeps: int):
+    """One QL pass over ``(d, e)``: ``(lam, V)``, ``lam`` ascending."""
     n = d.shape[0]
-    full = vectors == "full"
-    boundary = vectors == "rows"
-    if full:
-        # W = Vᵀ: rotating columns i, i+1 of V rotates rows i, i+1 of W.
-        W = np.eye(n)
-        w_rows = list(W)
-        w_pairs = [W[i:i + 2] for i in range(n - 1)]
-        sw = np.empty((2, n))           # s * W[i:i+2]
-        cw = np.empty((2, n))           # c * W[i:i+2]
-        sw0, sw1 = sw
-        cw0, cw1 = cw
-        mul, add, sub = np.multiply, np.add, np.subtract
-    elif boundary:
-        top = [0.0] * n                 # V[0, :]
-        bot = [0.0] * n                 # V[n-1, :]
-        if n:
-            top[0] = bot[-1] = 1.0
+    # W = Vᵀ: rotating columns i, i+1 of V rotates rows i, i+1 of W.
+    W = np.eye(n)
+    w_rows = list(W)
+    w_pairs = [W[i:i + 2] for i in range(n - 1)]
+    sw = np.empty((2, n))               # s * W[i:i+2]
+    cw = np.empty((2, n))               # c * W[i:i+2]
+    sw0, sw1 = sw
+    cw0, cw1 = cw
+    mul, add, sub = np.multiply, np.add, np.subtract
     d = d.tolist()
     ee = e.tolist() + [0.0]
     hypot, copysign = math.hypot, math.copysign
@@ -154,21 +124,11 @@ def _tql2(d, e, vectors: str, max_sweeps: int):
                 g = c * r - b
                 # V[:, i+1] = s*V[:, i] + c*V[:, i+1]
                 # V[:, i]   = c*V[:, i] - s*V[:, i+1]
-                if full:
-                    pair = w_pairs[i]
-                    mul(pair, s, sw)
-                    mul(pair, c, cw)
-                    add(sw0, cw1, w_rows[i + 1])
-                    sub(cw0, sw1, w_rows[i])
-                elif boundary:
-                    a0 = top[i]
-                    a1 = top[i + 1]
-                    top[i + 1] = s * a0 + c * a1
-                    top[i] = c * a0 - s * a1
-                    a0 = bot[i]
-                    a1 = bot[i + 1]
-                    bot[i + 1] = s * a0 + c * a1
-                    bot[i] = c * a0 - s * a1
+                pair = w_pairs[i]
+                mul(pair, s, sw)
+                mul(pair, c, cw)
+                add(sw0, cw1, w_rows[i + 1])
+                sub(cw0, sw1, w_rows[i])
             if underflow:
                 continue
             d[l] -= p
@@ -177,16 +137,5 @@ def _tql2(d, e, vectors: str, max_sweeps: int):
 
     lam = np.array(d)
     order = np.argsort(lam, kind="stable")
-    if full:
-        V = W[order].T
-    elif boundary:
-        V = np.array((top, bot))[:, order]
-    else:
-        V = None
-    return lam[order], V
+    return lam[order], W[order].T
 
-
-def sterf(d: np.ndarray, e: np.ndarray, *, max_sweeps: int = 50) -> np.ndarray:
-    """Eigenvalues only (DSTERF-style: same iteration, no vector updates)."""
-    lam, _ = steqr(d, e, compute_v=False, max_sweeps=max_sweeps)
-    return lam

@@ -1,4 +1,5 @@
-"""Graceful degradation: STEQR fallback when the secular solve fails."""
+"""Graceful degradation: STEQR fallback when the secular solve fails,
+and typed errors when the LAPACK solve of a leaf or fallback fails."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from repro import dc_eigh
 from repro.analysis import orthogonality_error, tridiagonal_residual
 from repro.core.options import DCOptions
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, TaskFailure
 from repro.kernels.secular import solve_secular
 from repro.obs import solve_metrics
 
@@ -121,3 +122,45 @@ def test_fallback_with_subset(broken_secular):
     assert V.shape == (d.shape[0], 3)
     np.testing.assert_allclose(lam, lam_full[sub], atol=1e-10)
     assert orthogonality_error(V) < GATE
+
+
+# ---------------------------------------------------------------------------
+# LAPACK failures: the leaf and fallback solves raise typed errors
+# ---------------------------------------------------------------------------
+
+def _failing_eigh(min_order=0):
+    """An ``eigh`` that raises ``LinAlgError`` on matrices of order above
+    ``min_order`` and solves the rest."""
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        if a.shape[0] > min_order:
+            raise np.linalg.LinAlgError("synthetic eigh failure")
+        return real(a, *args, **kwargs)
+    return eigh
+
+
+@pytest.mark.parametrize("backend", ["sequential", "threads"])
+def test_leaf_eigh_failure_is_typed(monkeypatch, backend):
+    monkeypatch.setattr("repro.core.merge.eigh", _failing_eigh())
+    d, e = _problem()
+    with pytest.raises(TaskFailure) as ei:
+        dc_eigh(d, e, backend=backend)
+    assert ei.value.task_name == "STEDC"
+    cause = ei.value.__cause__
+    assert isinstance(cause, ConvergenceError)
+    assert isinstance(cause.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("jobz", ["V", "N"])
+def test_fallback_eigh_failure_is_typed(broken_secular, monkeypatch, jobz):
+    """Leaves (order ≤ minpart) solve; every merge's fallback fails."""
+    minpart = DCOptions().minpart
+    monkeypatch.setattr("repro.core.merge.eigh", _failing_eigh(minpart))
+    d, e = _problem()
+    with pytest.raises(TaskFailure) as ei:
+        dc_eigh(d, e, options=DCOptions(jobz=jobz))
+    cause = ei.value.__cause__
+    assert isinstance(cause, ConvergenceError)
+    assert "fallback also failed" in str(cause)
+    assert isinstance(cause.__cause__, ConvergenceError)

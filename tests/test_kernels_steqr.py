@@ -1,4 +1,4 @@
-"""Tests for the QR-iteration leaf eigensolver (repro.kernels.steqr)."""
+"""Tests for the QR-iteration baseline eigensolver (repro.kernels.steqr)."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core import DCContext, DCOptions
 from repro.core.tree import build_tree
 from repro.errors import ConvergenceError, InputError
-from repro.kernels import steqr, steqr_rows, sterf
+from repro.kernels import steqr
 from repro.matrices import test_matrix as table3_matrix
 
 
@@ -75,13 +75,6 @@ def test_122_toeplitz_known_eigenvalues():
     np.testing.assert_allclose(lam, np.sort(ref), atol=1e-12)
 
 
-def test_eigenvalues_only_matches_full():
-    rng = np.random.default_rng(3)
-    d = rng.normal(size=30)
-    e = rng.normal(size=29)
-    np.testing.assert_allclose(sterf(d, e), steqr(d, e)[0], atol=1e-13)
-
-
 def test_zero_offdiagonal_splitting():
     # e contains exact zeros: the matrix splits into independent blocks.
     d = np.array([1.0, 5.0, 2.0, -3.0, 0.5])
@@ -113,7 +106,7 @@ def test_wrong_e_length_raises():
         steqr(np.ones(4), np.ones(4))
 
 
-@pytest.mark.parametrize("solve", [steqr, steqr_rows, sterf])
+@pytest.mark.parametrize("solve", [steqr])
 def test_non_finite_input_raises(solve):
     with pytest.raises(InputError):
         solve(np.array([np.nan, 1.0]), np.array([0.0]))
@@ -161,11 +154,11 @@ def test_graded_matrix_needs_reversed_sweeps():
 _EPS_REF = np.finfo(np.float64).eps
 
 
-def _tql2_ref(d, e, *, compute_v=True, max_sweeps=50):
+def _tql2_ref(d, e, *, max_sweeps=50):
     """The tql2 loop on numpy float64 scalars, updating columns of V.
 
     Reference for ``repro.kernels.steqr``, which must reproduce it bit
-    for bit in every eigenvector mode."""
+    for bit."""
     d = np.array(d, dtype=np.float64, copy=True)
     n = d.shape[0]
     if np.asarray(e).shape[0] != max(0, n - 1):
@@ -173,7 +166,7 @@ def _tql2_ref(d, e, *, compute_v=True, max_sweeps=50):
     ee = np.zeros(n, dtype=np.float64)
     if n > 1:
         ee[:n - 1] = e
-    V = np.eye(n) if compute_v else None
+    V = np.eye(n)
     if n <= 1:
         return d, V
 
@@ -217,12 +210,11 @@ def _tql2_ref(d, e, *, compute_v=True, max_sweeps=50):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if compute_v:
-                    col_i = V[:, i]
-                    col_i1 = V[:, i + 1]
-                    f2 = col_i1.copy()
-                    col_i1[...] = s * col_i + c * f2
-                    col_i[...] = c * col_i - s * f2
+                col_i = V[:, i]
+                col_i1 = V[:, i + 1]
+                f2 = col_i1.copy()
+                col_i1[...] = s * col_i + c * f2
+                col_i[...] = c * col_i - s * f2
             if underflow:
                 continue
             d[l] -= p
@@ -230,37 +222,26 @@ def _tql2_ref(d, e, *, compute_v=True, max_sweeps=50):
             ee[m] = 0.0
 
     order = np.argsort(d, kind="stable")
-    d = d[order]
-    if compute_v:
-        V = V[:, order]
-    return d, V
+    return d[order], V[:, order]
 
 
-def _steqr_ref(d, e, *, compute_v=True, max_sweeps=50):
+def _steqr_ref(d, e, *, max_sweeps=50):
     try:
-        return _tql2_ref(d, e, compute_v=compute_v, max_sweeps=max_sweeps)
+        return _tql2_ref(d, e, max_sweeps=max_sweeps)
     except ConvergenceError:
         d = np.asarray(d, dtype=np.float64)
         e = np.asarray(e, dtype=np.float64)
         lam, V = _tql2_ref(d[::-1].copy(), e[::-1].copy(),
-                           compute_v=compute_v, max_sweeps=2 * max_sweeps)
-        return lam, (V[::-1, :] if V is not None else None)
+                           max_sweeps=2 * max_sweeps)
+        return lam, V[::-1, :]
 
 
 def assert_bitwise_ref(d, e):
-    """Full V, boundary rows and no-vectors all equal the reference."""
+    """Eigenvalues and eigenvectors both equal the reference."""
     lam_ref, V_ref = _steqr_ref(d, e)
     lam, V = steqr(d, e)
     assert np.array_equal(lam, lam_ref)
     assert np.array_equal(V, V_ref)
-    lam_r, rows = steqr_rows(d, e)
-    assert rows.shape == (2, len(d))
-    assert np.array_equal(lam_r, lam_ref)
-    assert np.array_equal(rows, V_ref[[0, -1]])
-    lam_n, none = steqr(d, e, compute_v=False)
-    assert none is None
-    assert np.array_equal(lam_n, _steqr_ref(d, e, compute_v=False)[0])
-    assert np.array_equal(lam_n, lam_ref)
 
 
 def _table3_leaves(mtype: int, n: int = 300, minpart: int = 64):
@@ -298,7 +279,8 @@ def test_small_sizes_and_exact_splits_bitwise_equal_reference(d, e):
 
 def test_reversed_retry_swaps_boundary_rows():
     """Type-1 leaf whose QL sweeps stall: the retry solves the reversed
-    matrix, so its first and last rows come back swapped."""
+    matrix, so its eigenvector rows (first and last included) come back
+    in reverse order."""
     dl, el = _type1_retry_leaf()
     with pytest.raises(ConvergenceError):
         _tql2_ref(dl, el)
@@ -325,7 +307,5 @@ def test_property_bitwise_equal_reference(de):
     except ConvergenceError:
         with pytest.raises(ConvergenceError):
             steqr(d, e)
-        with pytest.raises(ConvergenceError):
-            steqr_rows(d, e)
         return
     assert_bitwise_ref(d, e)
