@@ -10,6 +10,12 @@ The compute mode changes the model class: ``jobz='V'`` carries two n²
 buffers plus the secular eigenvector blocks, while ``jobz='N'`` keeps
 only the three 2×n boundary-row strips, the O(n) solver vectors and one
 transient k×nb secular panel — O(n) total, the same class as MRRR.
+
+Neither counts the ~5m² doubles ``dsyevd`` holds while it solves an m×m
+block (the block, numpy's copy, the 1 + 6m + 2m² workspace, the vectors):
+160 KB per running leaf at m = 64, but up to ~5n² at a merge fallback on
+the root (1 GB at n = 5000), so the ``jobz='N'`` O(n) class holds only
+while no merge falls back.
 """
 
 from __future__ import annotations

@@ -50,8 +50,8 @@ class DCOptions:
         ``result()``/``dc_eigh`` return ``V = None`` in ``"N"`` mode.
     ``minpart``
         Maximal size of a leaf subproblem (the paper's "minimal partition
-        size"; 300 in the Fig. 2 example, LAPACK uses 25).  Leaves are
-        solved by QR iteration (``STEDC`` tasks).
+        size"; 300 in the Fig. 2 example, LAPACK uses 25).  Each leaf is
+        solved by one LAPACK ``dsyevd`` call (``STEDC`` tasks).
     ``nb``
         Panel width: every merge kernel is split into tasks of at most
         ``nb`` eigenvector columns.  Smaller nb → more parallelism,

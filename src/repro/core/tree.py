@@ -2,7 +2,7 @@
 
 The matrix T is split into p subproblems forming a binary tree; every
 internal node is a rank-one merge (Eq. 5), every leaf a small independent
-eigenproblem solved by QR iteration.
+eigenproblem solved by LAPACK (``DCContext.eigh_block``).
 """
 
 from __future__ import annotations

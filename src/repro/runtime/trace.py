@@ -109,8 +109,8 @@ class Trace:
 
     def kernel_times(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for e in self.events:
-            out[e.name] = out.get(e.name, 0.0) + e.duration
+        for e in self.events:      # e.duration, without the property call
+            out[e.name] = out.get(e.name, 0.0) + (e.t_end - e.t_start)
         return out
 
     def kernel_counts(self) -> dict[str, int]:
