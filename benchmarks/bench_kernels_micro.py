@@ -36,6 +36,19 @@ def test_bench_secular_panel(benchmark, secular_system):
     assert roots.lam.shape == (64,)
 
 
+def test_bench_secular_root_panel(benchmark):
+    """One root-merge LAED4 task at n=2000: 32 roots of a k=1800
+    system (about 10% of the root's columns deflate on type 4)."""
+    rng = np.random.default_rng(0)
+    k = 1800
+    d = np.sort(rng.normal(size=k)) + np.arange(k) * 1e-3
+    z = rng.uniform(0.1, 1.0, size=k)
+    z /= np.linalg.norm(z)
+    idx = np.arange(k // 2, k // 2 + 32)
+    roots = benchmark(solve_secular, d, z, 1.0, idx)
+    assert roots.lam.shape == (32,)
+
+
 def test_bench_deflation(benchmark):
     rng = np.random.default_rng(1)
     n = 1000

@@ -24,6 +24,15 @@ root.  A per-root bisection bracket makes the scheme globally
 convergent.  All roots of a panel iterate simultaneously with NumPy
 (this is the paper's per-panel ``LAED4`` task, vectorized inside the
 panel).
+
+The work is root-major: row j of an m×k buffer holds root j's pole
+distances, and every sum over the poles is a contiguous row contraction
+``np.einsum("jk,k->j", rows, z²)``.  Each root's sums therefore see the
+same operations in the same order whichever roots share its panel, so
+``orig``/``tau`` are bitwise independent of how a merge splits its roots
+into panels.  The two m×k buffers and the origin-relative poles
+``d_i − d_orig`` are made once per call; a sweep writes and reduces them
+in place.
 """
 
 from __future__ import annotations
@@ -88,7 +97,9 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
     z : (k,) unit-norm updating vector (every entry nonzero).
     rho : positive rank-one weight.
     index : root indices to solve (default: all k roots).  One LAED4
-        panel task passes the root indices of its panel.
+        panel task passes the root indices of its panel.  A root's
+        ``orig``/``tau`` are bitwise the same whatever other roots
+        ``index`` lists.
 
     The result counts the panel's sweeps (``iterations``) and the sweeps
     each root stayed active for (``root_iterations``): the per-root
@@ -122,8 +133,11 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
 
     # --- choose the origin pole by the sign of w at the interval midpoint
     mid = np.where(interior, dlamda[js] + 0.5 * gap, dlamda[k - 1] + 0.5 * rho)
-    dmat_mid = dlamda[:, None] - mid[None, :]
-    w_mid = 1.0 + rho * np.sum(zsq[:, None] / dmat_mid, axis=0)
+    buf = np.empty((m, k))          # Δ, then 1/Δ, then sign(Δ)/Δ²
+    absbuf = np.empty((m, k))       # 1/|Δ|, then 1/Δ²
+    inv = np.subtract(dlamda[None, :], mid[:, None], out=buf)
+    np.reciprocal(inv, out=inv)
+    w_mid = 1.0 + rho * np.einsum("jk,k->j", inv, zsq)
 
     # w increases from -inf to +inf across the interval; w(mid) >= 0 means
     # the root lies in the left half, i.e. closer to the left pole.
@@ -156,21 +170,31 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
     p1 = np.where(interior, js, k - 2)
     p2 = np.where(interior, np.minimum(js + 1, k - 1), k - 1)
 
+    # Origin-relative poles d_i − d_orig_j, one row per root; orig is
+    # fixed from here on, so every sweep's Δ = base − τ starts from it.
+    base = dlamda[None, :] - dlamda[orig][:, None]
+
     active = np.ones(m, dtype=bool)
     total_sweeps = 0
     iters = np.zeros(m, dtype=np.int64)     # per-root sweep counts
     for sweep in range(max_iter):
-        if not np.any(active):
+        ia = np.flatnonzero(active)
+        if ia.size == 0:
             break
         total_sweeps += 1
-        ia = np.where(active)[0]
         iters[ia] += 1
-        ja, ta = js[ia], tau[ia]
-        oa = orig[ia]
-        delta = (dlamda[:, None] - dlamda[oa][None, :]) - ta[None, :]
-        inv = 1.0 / delta
-        zi = zsq[:, None] * inv
+        ta = tau[ia]
         rows = np.arange(ia.size)
+        delta = buf[:ia.size]
+        if ia.size == m:
+            np.subtract(base, ta[:, None], out=delta)
+        else:
+            np.take(base, ia, axis=0, out=delta, mode="clip")
+            delta -= ta[:, None]
+        d1 = delta[rows, p1[ia]]
+        d2 = delta[rows, p2[ia]]
+        inv = np.reciprocal(delta, out=delta)
+        ainv = np.abs(inv, out=absbuf[:ia.size])
         # ψ collects the poles at or left of p1, φ the poles right of it.
         # For interior roots p1 = j and λ ∈ (d_j, d_{j+1}), so the split
         # coincides with the sign of Δ: ψ gathers the negative terms, φ
@@ -178,10 +202,8 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         # sums without an O(k·m) cumulative sum.  For the last root every
         # Δ is negative; its φ is the single pole d_{k-1}, handled
         # explicitly below.
-        S = rho * np.sum(zi, axis=0)
-        A = rho * np.sum(np.abs(zi), axis=0)
-        w = 1.0 + S
-        swabs = A
+        w = 1.0 + rho * np.einsum("jk,k->j", inv, zsq)
+        swabs = rho * np.einsum("jk,k->j", ainv, zsq)
         tol_w = _EPS * k * (3.0 + swabs)
 
         # Update brackets from the sign of w.
@@ -204,11 +226,10 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         # at the left model pole into ψ (poles ≤ p1) and φ (poles > p1),
         # and give each model pole the weight that matches the exact
         # derivative of its side: a = Δ1²ψ', b = Δ2²φ', c = w − Δ1ψ' − Δ2φ'.
-        d1 = delta[p1[ia], rows]
-        d2 = delta[p2[ia], rows]
-        zi *= inv                            # now z_i² / Δ² (all positive)
-        B = rho * np.sum(zi, axis=0)         # w'(λ) = ψ' + φ'
-        C = rho * np.sum(np.copysign(zi, delta), axis=0)    # φ' − ψ'
+        inv *= ainv                          # sign(Δ) / Δ²
+        ainv *= ainv                         # 1 / Δ² (all positive)
+        C = rho * np.einsum("jk,k->j", inv, zsq)       # φ' − ψ'
+        B = rho * np.einsum("jk,k->j", ainv, zsq)      # w'(λ) = ψ' + φ'
         psi_p = 0.5 * (B - C)                               # ψ'(λ) ≥ 0
         phi_p = 0.5 * (B + C)                               # φ'(λ) ≥ 0
         inter_a = interior[ia]

@@ -233,7 +233,7 @@ class SessionMetrics:
 
     ``kernel_seconds`` / ``kernel_tasks`` are exact per-kernel busy
     seconds and completed-task counts folded from each solve's trace
-    (``Trace.kernel_times`` / ``Trace.kernel_counts``); a failed solve
+    in one pass (``Trace.kernel_totals``); a failed solve
     contributes the tasks that completed before it was cancelled.  On
     the simulated backend the seconds are virtual.
 
@@ -265,8 +265,7 @@ class SessionMetrics:
                    failed: bool = False, n_tasks: int = 0,
                    jobz: Optional[str] = None, trace=None) -> None:
         """Record one completed solve (success or failure)."""
-        kernel_s = trace.kernel_times() if trace is not None else {}
-        kernel_n = trace.kernel_counts() if trace is not None else {}
+        kernel_s, kernel_n = ({}, {}) if trace is None else trace.kernel_totals()
         with self._lock:
             self.solves += 1
             self.tasks += n_tasks

@@ -77,6 +77,26 @@ def test_subset_index_solve_matches_full():
     np.testing.assert_array_equal(part.orig, full.orig[idx])
 
 
+@pytest.mark.parametrize("k", [2, 65, 300, 1800])
+def test_roots_do_not_depend_on_panel(k):
+    """A root's (orig, tau) are bitwise the same whichever roots share
+    its LAED4 panel: panels of 1, 7, 32 and k roots, the last one
+    included, reproduce one whole-system call."""
+    rng = np.random.default_rng(k)
+    d, z, rho = random_system(rng, k)
+    full = solve_secular(d, z, rho)
+    for nb in (1, 7, 32, k):
+        orig = np.empty(k, dtype=np.intp)
+        tau = np.empty(k)
+        for p0 in range(0, k, nb):
+            idx = np.arange(p0, min(p0 + nb, k))
+            part = solve_secular(d, z, rho, index=idx)
+            orig[idx] = part.orig
+            tau[idx] = part.tau
+        np.testing.assert_array_equal(orig, full.orig)
+        np.testing.assert_array_equal(tau, full.tau)
+
+
 def test_tau_relative_accuracy_near_pole():
     # A root hugging its pole: τ must retain high *relative* accuracy.
     d = np.array([0.0, 1.0, 2.0])

@@ -151,11 +151,8 @@ def test_session_metrics_self_merge_doubles():
     m = SessionMetrics()
 
     class _Trace:
-        def kernel_times(self):
-            return {"LAED4": 0.5, "STEDC": 0.25}
-
-        def kernel_counts(self):
-            return {"LAED4": 3, "STEDC": 2}
+        def kernel_totals(self):
+            return {"LAED4": 0.5, "STEDC": 0.25}, {"LAED4": 3, "STEDC": 2}
 
     for i in range(10):
         m.note_solve(0.01 * (i + 1), n_tasks=5, jobz="V", trace=_Trace())

@@ -8,6 +8,8 @@ idle accounting, and the speedup-curve helper.
 import json
 import re
 
+import pytest
+
 from repro.analysis.traces import speedup_curve
 from repro.runtime.trace import Trace, TraceEvent
 
@@ -115,6 +117,24 @@ def test_single_event_trace():
     assert tr.idle_fraction == 0.0
     assert tr.kernel_counts() == {"Solo": 1}
     assert "Solo" in tr.gantt(width=10)
+
+
+def test_trace_event_is_an_immutable_value():
+    ev = TraceEvent(3, "LAED4", 1, 2.0, 5.5, (0, 64), seq=7)
+    assert ev == TraceEvent(3, "LAED4", 1, 2.0, 5.5, (0, 64), 0, 7)
+    assert (ev.priority, ev.seq, ev.duration) == (0, 7, 3.5)
+    assert TraceEvent(0, "a", 0, 0.0, 1.0).tag is None
+    with pytest.raises(AttributeError):
+        ev.t_end = 9.0
+
+
+def test_kernel_totals_fold_in_event_order():
+    tr = _trace([("B", 0, 0.0, 1.0), ("A", 1, 0.0, 0.5),
+                 ("B", 0, 1.0, 1.25)])
+    secs, counts = tr.kernel_totals()
+    assert list(secs) == list(counts) == ["B", "A"]
+    assert secs == tr.kernel_times() == {"B": 1.25, "A": 0.5}
+    assert counts == tr.kernel_counts() == {"B": 2, "A": 1}
 
 
 # -- measured idle ----------------------------------------------------------
