@@ -15,24 +15,31 @@ is the index of the *closest pole*; all pole distances are formed as
 the exactly-stored ``τ`` — this is what preserves eigenvector
 orthogonality downstream (Gu & Eisenstat).
 
-The iteration is the fixed-weight two-pole rational scheme
-(Bunch–Nielsen–Sorensen; the same family as DLAED4's middle way): model
-``w`` by ``c + a/(Δ_1 − η) + b/(Δ_2 − η)`` with the true residues
-``a = rho z_{p1}²``, ``b = rho z_{p2}²`` of the two bracketing poles and
-``c`` chosen to interpolate the current value, then step to the model
-root.  A per-root bisection bracket makes the scheme globally
-convergent.  All roots of a panel iterate simultaneously with NumPy
-(this is the paper's per-panel ``LAED4`` task, vectorized inside the
-panel).
+The iteration is DLAED4's middle way, a two-pole rational scheme
+(Bunch–Nielsen–Sorensen family): model ``w`` by
+``c + a/(Δ_1 − η) + b/(Δ_2 − η)`` at the two bracketing poles, with
+``a``, ``b`` and ``c`` chosen to match ``w`` and the derivatives of the
+sums left and right of the first pole, then step to the model root.  A
+per-root bisection bracket makes the scheme globally convergent.  All
+roots of a panel iterate simultaneously with NumPy (this is the paper's
+per-panel ``LAED4`` task, vectorized inside the panel).
 
-The work is root-major: row j of an m×k buffer holds root j's pole
-distances, and every sum over the poles is a contiguous row contraction
-``np.einsum("jk,k->j", rows, z²)``.  Each root's sums therefore see the
-same operations in the same order whichever roots share its panel, so
-``orig``/``tau`` are bitwise independent of how a merge splits its roots
-into panels.  The two m×k buffers and the origin-relative poles
-``d_i − d_orig`` are made once per call; a sweep writes and reduces them
-in place.
+The work is root-major: row j of a (2, m, k) buffer's two m×k slots
+holds root j's pole terms, and every sum over the poles is a contiguous
+row contraction.  A sweep makes two contractions
+``np.einsum("ajk,k->aj", buf, z²)``, one for w and Σ|z_i²/Δ_i| and one
+for the derivatives φ′ − ψ′ and ψ′ + φ′.  The fused form reduces each
+row exactly as a lone ``np.einsum("jk,k->j", row, z²)`` would, so each
+root's sums see the same operations in the same order whichever roots
+share its panel, and ``orig``/``tau`` are bitwise independent of how a
+merge splits its roots into panels.
+
+A sweep holds only the active roots.  Their τ, bracket and model-pole
+distances form one (5, active) state array, and their origin-relative
+poles ``d_i − d_orig`` one (active, k) array, both made once per call.
+On a sweep where some roots converge, both drop those roots' columns
+and rows, in order; other sweeps index no per-root arrays.  Dropping
+finished roots changes no other root's bits.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ __all__ = ["SecularRoots", "solve_secular", "secular_function",
            "delta_matrix", "eigenvalues_from_roots"]
 
 _EPS = np.finfo(np.float64).eps
+# Per-row constants of a sweep's two contractions: added to the first
+# (w = 1 + ρΣ z²/Δ and the tolerance's 3 + ρΣ z²/|Δ|), and multiplied
+# into the second's φ′ − ψ′ row to form ψ′ and φ′.
+_ONES_THREES = np.array([[1.0], [3.0]])
+_SIGNS = np.array([[-1.0], [1.0]])
 
 
 @dataclass
@@ -101,9 +113,11 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         ``orig``/``tau`` are bitwise the same whatever other roots
         ``index`` lists.
 
-    The result counts the panel's sweeps (``iterations``) and the sweeps
-    each root stayed active for (``root_iterations``): the per-root
-    LAED4 iteration counts of the solve's telemetry.
+    The result counts the panel's sweeps (``iterations``, the largest of
+    its roots' counts) and the sweeps each root stayed active for
+    (``root_iterations``): the per-root LAED4 iteration counts of the
+    solve's telemetry.  ``ConvergenceError`` names the roots still
+    active after ``max_iter`` sweeps by their ``index`` values.
     """
     dlamda = np.asarray(dlamda, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -126,150 +140,198 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         return SecularRoots(orig, tau, np.full(m, lam), 0,
                             np.zeros(m, dtype=np.int64))
 
+    # State order: a listed last root (k−1) goes after the interior
+    # roots, so that it stays the last row of the compacted state while
+    # it is active.  ``act`` maps state rows to positions in ``index``.
+    js_pos = js
+    is_last = js == k - 1
+    nlast = np.count_nonzero(is_last)
+    act = np.arange(m)
+    if nlast and not is_last[m - nlast:].all():
+        act = np.argsort(is_last, kind="stable")
+        js = js[act]
+    act0 = act
+
     interior = js < k - 1
-    right_pole = np.where(interior, js + 1, js)           # d_{j+1} or d_{k-1}
-    gap = np.where(interior, dlamda[np.minimum(js + 1, k - 1)] - dlamda[js],
-                   rho)
+    nxt = np.minimum(js + 1, k - 1)
+    dj = dlamda[js]
+    gap = np.where(interior, dlamda[nxt] - dj, rho)
+    half = 0.5 * gap
 
     # --- choose the origin pole by the sign of w at the interval midpoint
-    mid = np.where(interior, dlamda[js] + 0.5 * gap, dlamda[k - 1] + 0.5 * rho)
-    buf = np.empty((m, k))          # Δ, then 1/Δ, then sign(Δ)/Δ²
-    absbuf = np.empty((m, k))       # 1/|Δ|, then 1/Δ²
-    inv = np.subtract(dlamda[None, :], mid[:, None], out=buf)
+    mid = dj + half
+    flat = np.empty(2 * m * k)       # the (2, active, k) sweep buffer
+    inv = flat[:m * k].reshape(m, k)
+    np.subtract(dlamda[None, :], mid[:, None], out=inv)
     np.reciprocal(inv, out=inv)
     w_mid = 1.0 + rho * np.einsum("jk,k->j", inv, zsq)
 
     # w increases from -inf to +inf across the interval; w(mid) >= 0 means
-    # the root lies in the left half, i.e. closer to the left pole.
+    # the root lies in the left half, i.e. closer to the left pole.  The
+    # last root's origin is always d_{k-1}.
     left_half = w_mid >= 0.0
-    orig = np.where(interior & ~left_half, right_pole, js)
-    # Last root: origin is always d_{k-1}.
-    orig = np.where(interior, orig, js)
+    right = interior & ~left_half
+    orig = js + right
 
     # --- initial bracket (lo, hi) and guess in τ = λ − d_orig coordinates
-    lo = np.empty(m)
-    hi = np.empty(m)
     # interior, left half:   τ ∈ (0, gap/2]
     # interior, right half:  τ ∈ [−gap/2, 0)
     # last, left half:       τ ∈ (0, ρ/2]
     # last, right half:      τ ∈ [ρ/2, ρ)
-    last = ~interior
-    lo[interior & left_half] = 0.0
-    hi[interior & left_half] = 0.5 * gap[interior & left_half]
-    lo[interior & ~left_half] = -0.5 * gap[interior & ~left_half]
-    hi[interior & ~left_half] = 0.0
-    lo[last & left_half] = 0.0
-    hi[last & left_half] = 0.5 * rho
-    lo[last & ~left_half] = 0.5 * rho
-    hi[last & ~left_half] = rho
+    lo = np.where(left_half, 0.0, np.where(interior, -half, half))
+    hi = np.where(left_half, half, np.where(interior, 0.0, gap))
     tau = 0.5 * (lo + hi)
-    # Keep strictly inside the open side of the bracket.
-    tau = np.where(tau == 0.0, 0.25 * (hi - lo) + lo, tau)
+    if np.count_nonzero(tau) < m:
+        # Keep strictly inside the open side of the bracket.
+        tau = np.where(tau == 0.0, 0.25 * (hi - lo) + lo, tau)
 
-    # --- model poles: the two poles bracketing the interval
+    # The state of the active roots, one column per root: τ, the
+    # bracket, and the origin-relative model poles d_p1 − d_orig and
+    # d_p2 − d_orig (p1, p2 bracket the root's interval; p2 = p1 + 1).
+    # orig is fixed from here on, so every sweep's Δ = base − τ starts
+    # from the origin-relative poles d_i − d_orig, one row per root.
+    # Rows of converged roots are dropped from both, in order.
     p1 = np.where(interior, js, k - 2)
-    p2 = np.where(interior, np.minimum(js + 1, k - 1), k - 1)
+    dorig = dlamda[orig]
+    st = np.empty((5, m))
+    st[0] = tau
+    st[1] = lo
+    st[2] = hi
+    np.subtract(dlamda[p1], dorig, out=st[3])
+    np.subtract(dlamda[p1 + 1], dorig, out=st[4])
+    base = dlamda[None, :] - dorig[:, None]
 
-    # Origin-relative poles d_i − d_orig_j, one row per root; orig is
-    # fixed from here on, so every sweep's Δ = base − τ starts from it.
-    base = dlamda[None, :] - dlamda[orig][:, None]
-
-    active = np.ones(m, dtype=bool)
-    total_sweeps = 0
+    eps_k = _EPS * k
+    eps_8 = 8.0 * _EPS
+    rz_last = rho * zsq[k - 1]
+    tau_out = np.empty(m)
     iters = np.zeros(m, dtype=np.int64)     # per-root sweep counts
-    for sweep in range(max_iter):
-        ia = np.flatnonzero(active)
-        if ia.size == 0:
-            break
-        total_sweeps += 1
-        iters[ia] += 1
-        ta = tau[ia]
-        rows = np.arange(ia.size)
-        delta = buf[:ia.size]
-        if ia.size == m:
-            np.subtract(base, ta[:, None], out=delta)
-        else:
-            np.take(base, ia, axis=0, out=delta, mode="clip")
-            delta -= ta[:, None]
-        d1 = delta[rows, p1[ia]]
-        d2 = delta[rows, p2[ia]]
-        inv = np.reciprocal(delta, out=delta)
-        ainv = np.abs(inv, out=absbuf[:ia.size])
+    na = m                                  # active roots
+    tau, lo, hi = st[0], st[1], st[2]
+    work = flat.reshape(2, m, k)
+    inv, ainv = work[0], work[1]
+    total_sweeps = 0
+    for total_sweeps in range(1, max_iter + 1):
+        np.subtract(base, tau[:, None], out=inv)
+        np.reciprocal(inv, out=inv)
+        np.abs(inv, out=ainv)
         # ψ collects the poles at or left of p1, φ the poles right of it.
         # For interior roots p1 = j and λ ∈ (d_j, d_{j+1}), so the split
         # coincides with the sign of Δ: ψ gathers the negative terms, φ
         # the positive ones — recoverable from the plain and absolute
         # sums without an O(k·m) cumulative sum.  For the last root every
         # Δ is negative; its φ is the single pole d_{k-1}, handled
-        # explicitly below.
-        w = 1.0 + rho * np.einsum("jk,k->j", inv, zsq)
-        swabs = rho * np.einsum("jk,k->j", ainv, zsq)
-        tol_w = _EPS * k * (3.0 + swabs)
+        # explicitly below.  Both sums are one contraction over the
+        # (2, na, k) buffer, which still reduces each row on its own.
+        s = np.einsum("ajk,k->aj", work, zsq)
+        s *= rho
+        s += _ONES_THREES
+        w, tol = s[0], s[1]            # w, and 3 + ρ Σ|z_i²/Δ_i|
+        tol *= eps_k
 
         # Update brackets from the sign of w.
         pos = w > 0.0
-        hi[ia] = np.where(pos, np.minimum(hi[ia], ta), hi[ia])
-        lo[ia] = np.where(~pos, np.maximum(lo[ia], ta), lo[ia])
+        np.minimum(hi, tau, out=hi, where=pos)
+        np.logical_not(pos, out=pos)
+        np.maximum(lo, tau, out=lo, where=pos)
 
-        converged = np.abs(w) <= tol_w
+        conv = np.abs(w) <= tol
         # Secondary stop: bracket collapsed *relative to τ*.  lo and hi
         # carry the sign of τ (the bracket never straddles the pole), so
         # this enforces high relative accuracy of τ — which the Gu
         # stabilization downstream needs to keep eigenvectors accurate.
-        width = hi[ia] - lo[ia]
-        converged |= width <= 8.0 * _EPS * np.abs(ta)
-        if np.all(converged):
-            active[ia] = False
-            break
+        width = hi - lo
+        atau = np.abs(tau)
+        atau *= eps_8
+        conv |= width <= atau
+        nconv = np.count_nonzero(conv)
+        if nconv:
+            done = act[conv]
+            tau_out[done] = tau[conv]
+            iters[done] = total_sweeps
+            if nconv == na:
+                na = 0
+                break
 
         # "Middle way" two-pole step (Ren-Cang Li / DLAED4): split the sum
         # at the left model pole into ψ (poles ≤ p1) and φ (poles > p1),
         # and give each model pole the weight that matches the exact
         # derivative of its side: a = Δ1²ψ', b = Δ2²φ', c = w − Δ1ψ' − Δ2φ'.
-        inv *= ainv                          # sign(Δ) / Δ²
-        ainv *= ainv                         # 1 / Δ² (all positive)
-        C = rho * np.einsum("jk,k->j", inv, zsq)       # φ' − ψ'
-        B = rho * np.einsum("jk,k->j", ainv, zsq)      # w'(λ) = ψ' + φ'
-        psi_p = 0.5 * (B - C)                               # ψ'(λ) ≥ 0
-        phi_p = 0.5 * (B + C)                               # φ'(λ) ≥ 0
-        inter_a = interior[ia]
-        if not np.all(inter_a):
+        np.multiply(inv, ainv, out=inv)          # sign(Δ) / Δ²
+        np.multiply(ainv, ainv, out=ainv)        # 1 / Δ² (all positive)
+        s = np.einsum("ajk,k->aj", work, zsq)
+        s *= rho                                 # φ' − ψ', ψ' + φ'
+        dp = s[0] * _SIGNS
+        dp += s[1]
+        dp *= 0.5                                # ψ'(λ) ≥ 0, φ'(λ) ≥ 0
+        d12 = st[3:5] - tau                      # Δ1, Δ2
+        if nlast:
             # Last root: φ is the single pole d_{k-1} (= p2 = origin).
-            la = ~inter_a
-            phi_last = rho * zsq[k - 1] / (d2[la] * d2[la])
-            phi_p[la] = phi_last
-            psi_p[la] = B[la] - phi_last
-        aa = d1 * d1 * psi_p
-        bb = d2 * d2 * phi_p
-        c = w - d1 * psi_p - d2 * phi_p
+            d2 = d12[1, na - nlast:]
+            phi_last = rz_last / (d2 * d2)
+            dp[1, na - nlast:] = phi_last
+            np.subtract(s[1, na - nlast:], phi_last, out=dp[0, na - nlast:])
+        ab = d12 * d12
+        ab *= dp                                 # a, b
+        dp *= d12
+        c = w                                    # w is not needed again
+        c -= dp[0]
+        c -= dp[1]
         # Quadratic  c η² − B η + C = 0 for the step η.
-        B = c * (d1 + d2) + aa + bb
-        C = c * d1 * d2 + aa * d2 + bb * d1
-        disc = B * B - 4.0 * c * C
-        disc = np.maximum(disc, 0.0)
-        sq = np.sqrt(disc)
-        denom = B + np.where(B >= 0.0, sq, -sq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eta = np.where(denom != 0.0, 2.0 * C / denom, 0.0)
-        tnew = ta + eta
-        # Safeguard: keep strictly inside the bracket, else bisect.
-        bad = (~np.isfinite(tnew)) | (tnew <= lo[ia]) | (tnew >= hi[ia]) \
-            | (eta == 0.0)
-        # A step of exactly zero with |w|>tol means the model stalled.
-        tnew = np.where(bad, 0.5 * (lo[ia] + hi[ia]), tnew)
-        # Never land exactly on the origin pole.
-        tnew = np.where(tnew == 0.0, 0.5 * (lo[ia] + hi[ia]) * 0.5
-                        + 0.25 * hi[ia], tnew)
-        tau[ia] = np.where(converged, ta, tnew)
-        keep = ~converged
-        active[ia] = keep
+        qb = d12[0] + d12[1]
+        qb *= c
+        qb += ab[0]
+        qb += ab[1]
+        qc = c * d12[0]
+        qc *= d12[1]
+        ab *= d12[::-1]                          # a Δ2, b Δ1
+        qc += ab[0]
+        qc += ab[1]
+        disc = qb * qb
+        c *= 4.0
+        c *= qc
+        disc -= c
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)
+        np.negative(disc, out=disc, where=qb < 0.0)
+        disc += qb                               # B + sign(B)·√disc
+        qc *= 2.0
+        eta = np.zeros(na)
+        np.divide(qc, disc, out=eta, where=disc != 0.0)
+        # Safeguard: keep strictly inside the bracket, else bisect.  A
+        # step of exactly zero with |w|>tol means the model stalled.
+        # lo and hi are finite, so a non-finite step fails the test.
+        ok = eta != 0.0
+        eta += tau
+        ok &= eta > lo
+        ok &= eta < hi
+        np.add(lo, hi, out=tau)
+        tau *= 0.5
+        np.copyto(tau, eta, where=ok)
+        if np.count_nonzero(tau) < na:
+            # Never land exactly on the origin pole.
+            np.copyto(tau, 0.5 * (lo + hi) * 0.5 + 0.25 * hi,
+                      where=tau == 0.0)
+        if nconv:
+            keep = np.logical_not(conv, out=conv)
+            if nlast:
+                nlast = np.count_nonzero(keep[na - nlast:])
+            na -= nconv
+            st = st[:, keep]
+            act = act[keep]
+            base = base[keep]
+            tau, lo, hi = st[0], st[1], st[2]
+            work = flat[:2 * na * k].reshape(2, na, k)
+            inv, ainv = work[0], work[1]
 
-    if np.any(active):
-        stuck = js[np.where(active)[0]]
+    if na:
+        stuck = js_pos[np.sort(act)]
         raise ConvergenceError(
             f"secular solve did not converge for root(s) "
             f"{stuck[:8].tolist()} after {max_iter} sweeps "
             f"(k={k}, rho={rho:.3e})")
-    return SecularRoots(orig.astype(np.intp), tau,
-                        eigenvalues_from_roots(dlamda, orig, tau),
+    orig_pos = np.empty(m, dtype=np.intp)
+    orig_pos[act0] = orig
+    return SecularRoots(orig_pos, tau_out,
+                        eigenvalues_from_roots(dlamda, orig_pos, tau_out),
                         total_sweeps, iters)
