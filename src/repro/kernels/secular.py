@@ -13,7 +13,13 @@ Each root is represented as ``λ_j = d_{orig_j} + τ_j`` where ``orig_j``
 is the index of the *closest pole*; all pole distances are formed as
 ``(d_i − d_orig) − τ`` so the critical distance to the nearest pole is
 the exactly-stored ``τ`` — this is what preserves eigenvector
-orthogonality downstream (Gu & Eisenstat).
+orthogonality downstream (Gu & Eisenstat).  The origin is the pole on
+the root's side of its interval's midpoint, read off the sign of ``w``
+there.  Like dlaed4, the midpoint's pole distances are formed relative
+to ``d_j``, as ``(d_i − d_j) − gap/2``: a midpoint rounded to an
+absolute float, ``fl(d_j + gap/2)``, can land on the far side of a
+root within half an ulp of ``|d_j|`` of the exact midpoint and give it
+the far pole.
 
 The iteration is DLAED4's middle way, a two-pole rational scheme
 (Bunch–Nielsen–Sorensen family): model ``w`` by
@@ -110,8 +116,8 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
     rho : positive rank-one weight.
     index : root indices to solve (default: all k roots).  One LAED4
         panel task passes the root indices of its panel.  A root's
-        ``orig``/``tau`` are bitwise the same whatever other roots
-        ``index`` lists.
+        ``orig``/``tau``/``root_iterations`` are bitwise the same
+        whatever other roots ``index`` lists, and in whatever order.
 
     The result counts the panel's sweeps (``iterations``, the largest of
     its roots' counts) and the sweeps each root stayed active for
@@ -158,11 +164,17 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
     gap = np.where(interior, dlamda[nxt] - dj, rho)
     half = 0.5 * gap
 
-    # --- choose the origin pole by the sign of w at the interval midpoint
-    mid = dj + half
+    # --- choose the origin pole by the sign of w at the interval midpoint.
+    # The midpoint's pole distances are formed relative to d_j, as
+    # (d_i − d_j) − gap/2, as dlaed4 forms them.  A midpoint rounded to
+    # an absolute float, fl(d_j + gap/2), can fall on the far side of a
+    # root that lies within half an ulp of |d_j| of the exact midpoint;
+    # w's sign then confines the root to the wrong half-bracket, and it
+    # converges to that half's edge.
     flat = np.empty(2 * m * k)       # the (2, active, k) sweep buffer
     inv = flat[:m * k].reshape(m, k)
-    np.subtract(dlamda[None, :], mid[:, None], out=inv)
+    np.subtract(dlamda[None, :], dj[:, None], out=inv)
+    inv -= half[:, None]
     np.reciprocal(inv, out=inv)
     w_mid = 1.0 + rho * np.einsum("jk,k->j", inv, zsq)
 

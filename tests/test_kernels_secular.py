@@ -1,11 +1,16 @@
 """Tests for the secular-equation solver (repro.kernels.secular)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.merge as merge_module
+from repro import dc_eigh
 from repro.kernels import (solve_secular, delta_matrix,
                            eigenvalues_from_roots)
+from repro.matrices import glued_wilkinson
 
 
 def random_system(rng, k, min_gap=1e-3):
@@ -65,6 +70,48 @@ def test_origin_is_nearest_pole():
         # Origin is within a factor ~1 of the true nearest pole (the
         # midpoint test puts the root in the origin's half interval).
         assert dist_orig <= dist_other + 1e-12
+
+
+def _glued_merge_system(monkeypatch):
+    """``(dlamda, z, rho)`` of the one merge (k=80) of the leading
+    128×128 part of W⁺₇ blocks glued by 1e-12, as its LAED4 tasks see
+    them."""
+    systems = []
+    solve = merge_module.solve_secular
+
+    def record(dlamda, z, rho, index=None, **kw):
+        systems.append((dlamda.copy(), z.copy(), rho))
+        return solve(dlamda, z, rho, index=index, **kw)
+
+    monkeypatch.setattr(merge_module, "solve_secular", record)
+    d, e = glued_wilkinson(19, 7, 1e-12)
+    dc_eigh(d[:128], e[:127])
+    assert len({s[0].tobytes() for s in systems}) == 1
+    return systems[0]
+
+
+def test_origin_is_on_the_roots_side_of_the_exact_midpoint(monkeypatch):
+    """Each interior root's origin is the pole on its side of the exact
+    midpoint of its interval, the side given by the sign of w there in
+    exact rational arithmetic.  In this merge root 27 lies 6.9e-15 from
+    d_28 in a gap of 1.39e-14, and the float midpoint fl(d_27 + gap/2)
+    sits 5.6e-17 past the exact one, on the root's other side."""
+    dlamda, z, rho = _glued_merge_system(monkeypatch)
+    k = dlamda.size
+    assert k == 80
+    r = solve_secular(dlamda, z, rho)
+    d = [Fraction(x) for x in dlamda]
+    zsq = [Fraction(x) ** 2 for x in z]
+    rho = Fraction(rho)
+    wrong = []
+    for j in range(k - 1):
+        mid = (d[j] + d[j + 1]) / 2
+        w = 1 + rho * sum(zi / (di - mid) for di, zi in zip(d, zsq))
+        # w increases across the interval: w(mid) > 0 puts the root left
+        # of the midpoint, nearer d_j.
+        if w != 0 and r.orig[j] != (j if w > 0 else j + 1):
+            wrong.append(j)
+    assert wrong == []
 
 
 def test_subset_index_solve_matches_full():
