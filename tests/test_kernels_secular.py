@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.merge as merge_module
 from repro import dc_eigh
+from repro.errors import ConvergenceError
 from repro.kernels import (solve_secular, delta_matrix,
                            eigenvalues_from_roots)
 from repro.matrices import glued_wilkinson
@@ -126,22 +127,52 @@ def test_subset_index_solve_matches_full():
 
 @pytest.mark.parametrize("k", [2, 65, 300, 1800])
 def test_roots_do_not_depend_on_panel(k):
-    """A root's (orig, tau) are bitwise the same whichever roots share
-    its LAED4 panel: panels of 1, 7, 32 and k roots, the last one
-    included, reproduce one whole-system call."""
+    """A root's (orig, tau) and sweep count are bitwise the same
+    whichever roots share its LAED4 panel, in whatever order the panel
+    lists them: panels of 1, 7, 32 and k roots, the last one included,
+    and panels of 7 listed backwards from root k−1 (so the last root's
+    φ term must follow the root, not its place in ``index``), all
+    reproduce one whole-system call.  A panel's ``iterations`` is the
+    largest sweep count of its roots."""
     rng = np.random.default_rng(k)
     d, z, rho = random_system(rng, k)
     full = solve_secular(d, z, rho)
-    for nb in (1, 7, 32, k):
+    assert full.iterations == full.root_iterations.max()
+    splits = [[np.arange(p0, min(p0 + nb, k)) for p0 in range(0, k, nb)]
+              for nb in (1, 7, 32, k)]
+    splits.append([idx[::-1] for idx in reversed(splits[1])])
+    assert splits[-1][0][0] == k - 1
+    for panels in splits:
         orig = np.empty(k, dtype=np.intp)
         tau = np.empty(k)
-        for p0 in range(0, k, nb):
-            idx = np.arange(p0, min(p0 + nb, k))
+        sweeps = np.empty(k, dtype=np.int64)
+        for idx in panels:
             part = solve_secular(d, z, rho, index=idx)
+            assert part.iterations == part.root_iterations.max()
             orig[idx] = part.orig
             tau[idx] = part.tau
+            sweeps[idx] = part.root_iterations
         np.testing.assert_array_equal(orig, full.orig)
         np.testing.assert_array_equal(tau, full.tau)
+        np.testing.assert_array_equal(sweeps, full.root_iterations)
+
+
+def test_convergence_error_names_stuck_roots_by_index():
+    """Roots still active after ``max_iter`` sweeps are named by their
+    ``index`` values, in the order ``index`` lists them."""
+    rng = np.random.default_rng(4)
+    d, z, rho = random_system(rng, 50)
+    idx = np.array([49, 7, 30, 2, 18, 41])
+    r = solve_secular(d, z, rho, index=idx)
+    cap = r.iterations - 1
+    stuck = idx[r.root_iterations > cap]
+    assert 0 < stuck.size < idx.size
+    with pytest.raises(ConvergenceError) as info:
+        solve_secular(d, z, rho, index=idx, max_iter=cap)
+    assert f"root(s) {stuck.tolist()} after {cap} sweeps" in str(info.value)
+    with pytest.raises(ConvergenceError, match=r"root\(s\) \[49, 7, 30, 2, "
+                       r"18, 41\] after 0 sweeps"):
+        solve_secular(d, z, rho, index=idx, max_iter=0)
 
 
 def test_tau_relative_accuracy_near_pole():
