@@ -36,17 +36,33 @@ def test_bench_secular_panel(benchmark, secular_system):
     assert roots.lam.shape == (64,)
 
 
-def test_bench_secular_root_panel(benchmark):
-    """One root-merge LAED4 task at n=2000: 32 roots of a k=1800
-    system (about 10% of the root's columns deflate on type 4)."""
+def _bench_secular_32_roots(benchmark, k):
+    """Time one LAED4 task on the 32 middle roots of a k-pole system.
+    ``extra_info["iterations"]`` holds its sweeps: the per-sweep time
+    is the call time divided by it."""
     rng = np.random.default_rng(0)
-    k = 1800
     d = np.sort(rng.normal(size=k)) + np.arange(k) * 1e-3
     z = rng.uniform(0.1, 1.0, size=k)
     z /= np.linalg.norm(z)
     idx = np.arange(k // 2, k // 2 + 32)
     roots = benchmark(solve_secular, d, z, 1.0, idx)
+    benchmark.extra_info["iterations"] = roots.iterations
     assert roots.lam.shape == (32,)
+
+
+def test_bench_secular_root_panel(benchmark):
+    """One root-merge LAED4 task at n=2000: 32 roots of a k=1800
+    system (about 10% of the root's columns deflate on type 4)."""
+    _bench_secular_32_roots(benchmark, 1800)
+
+
+@pytest.mark.parametrize("k", [128, 256, 600])
+def test_bench_secular_small_panel(benchmark, k):
+    """A LAED4 task of a small merge: 32 roots of a k=128 system is the
+    shape of the n=128 merges of ``batch-small``'s n=256 solves, where
+    a sweep's fixed cost of NumPy calls on the 32 roots dominates its
+    m×k contractions."""
+    _bench_secular_32_roots(benchmark, k)
 
 
 def test_bench_deflation(benchmark):
