@@ -331,7 +331,13 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
             na -= nconv
             st = st[:, keep]
             act = act[keep]
-            base = base[keep]
+            # Move base's kept rows up in place, row by row (distinct
+            # rows never overlap).  A fresh (active, k) array on every
+            # such sweep costs page faults, also in the kernels after it.
+            for row, src in enumerate(np.flatnonzero(keep)):
+                if row != src:
+                    base[row] = base[src]
+            base = base[:na]
             tau, lo, hi = st[0], st[1], st[2]
             work = flat[:2 * na * k].reshape(2, na, k)
             inv, ainv = work[0], work[1]
