@@ -146,9 +146,10 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
         return SecularRoots(orig, tau, np.full(m, lam), 0,
                             np.zeros(m, dtype=np.int64))
 
-    # State order: a listed last root (k−1) goes after the interior
-    # roots, so that it stays the last row of the compacted state while
-    # it is active.  ``act`` maps state rows to positions in ``index``.
+    # State order: a listed last root (k−1), whose φ term differs, goes
+    # after the interior roots, so that it stays the last row of the
+    # compacted state while it is active.  ``act`` maps state rows to
+    # positions in ``index``.
     js_pos = js
     is_last = js == k - 1
     nlast = np.count_nonzero(is_last)
@@ -166,9 +167,9 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
 
     # --- choose the origin pole by the sign of w at the interval midpoint.
     # The midpoint's pole distances are formed relative to d_j, as
-    # (d_i − d_j) − gap/2, as dlaed4 forms them.  A midpoint rounded to
-    # an absolute float, fl(d_j + gap/2), can fall on the far side of a
-    # root that lies within half an ulp of |d_j| of the exact midpoint;
+    # (d_i − d_j) − gap/2, the way dlaed4 forms them.  A midpoint rounded
+    # to an absolute float, fl(d_j + gap/2), can fall on the far side of
+    # a root that lies within half an ulp of |d_j| of the exact midpoint;
     # w's sign then confines the root to the wrong half-bracket, and it
     # converges to that half's edge.
     flat = np.empty(2 * m * k)       # the (2, active, k) sweep buffer
@@ -331,13 +332,16 @@ def solve_secular(dlamda: np.ndarray, z: np.ndarray, rho: float,
             na -= nconv
             st = st[:, keep]
             act = act[keep]
-            # Move base's kept rows up in place, row by row (distinct
-            # rows never overlap).  A fresh (active, k) array on every
-            # such sweep costs page faults, also in the kernels after it.
-            for row, src in enumerate(np.flatnonzero(keep)):
-                if row != src:
-                    base[row] = base[src]
+            # Gather base's kept rows into the sweep buffer, unused until
+            # the next sweep, and copy them back.  A fresh (active, k)
+            # array on every such sweep, or a buffered take into an
+            # overlapping or default-mode ``out``, costs page faults,
+            # also in the kernels that run after this one.
+            rows = flat[:na * k].reshape(na, k)
+            np.take(base, np.flatnonzero(keep), axis=0, out=rows,
+                    mode="clip")
             base = base[:na]
+            base[...] = rows
             tau, lo, hi = st[0], st[1], st[2]
             work = flat[:2 * na * k].reshape(2, na, k)
             inv, ainv = work[0], work[1]
