@@ -18,9 +18,13 @@ PAPER_TABLE2 = {
 #: separately (scale/partition wrappers appear as DAG nodes in Fig. 2;
 #: ApplyGivens is folded into the deflation step in the paper's text).
 #: ReduceW exists as a task but Table II folds it into ComputeLocalW's
-#: color in the paper's legend.
+#: color in the paper's legend.  The boundary-row strip kernels
+#: (GivensStrip, PermuteStrip, UpdateStrip) carry every merge's
+#: rank-one z in both compute modes (see :mod:`repro.core.tasks`), so
+#: they appear in the ``jobz='V'`` trace too.
 EXTRA_KERNELS = {"ScaleT", "ScaleBack", "Partition", "ApplyGivens",
-                 "LevelBarrier", "ReduceW"}
+                 "LevelBarrier", "ReduceW",
+                 "GivensStrip", "PermuteStrip", "UpdateStrip"}
 
 
 def test_table2_trace_kernels(benchmark):

@@ -229,6 +229,7 @@ def _cmd_trace(args) -> int:
 
     from . import dc_eigh
     from .core.options import FIG3_CONFIGS
+    from .errors import ReproError
     from .matrices import test_matrix
     from .obs import (chrome_trace, collapsed_stacks, prometheus_text,
                       solve_metrics, telemetry_summary, write_jsonl)
@@ -240,8 +241,12 @@ def _cmd_trace(args) -> int:
         opts = opts.with_(nb=args.nb)
     if getattr(args, "jobz", "V") != "V":
         opts = opts.with_(jobz=args.jobz)
-    res = dc_eigh(d, e, options=opts, backend=args.backend,
-                  n_workers=args.cores, full_result=True)
+    try:
+        res = dc_eigh(d, e, options=opts, backend=args.backend,
+                      n_workers=args.cores, full_result=True)
+    except ReproError as exc:
+        print(f"error   : {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     metrics = solve_metrics(res)
     gantt = res.trace.gantt(width=args.width)
     summary = telemetry_summary(metrics, res.trace)

@@ -9,12 +9,11 @@ Public surface:
   edges all point forward in submission order, so a graph is acyclic
   as built;
 * :mod:`~repro.runtime.engine` — the shared execution core
-  (:class:`~repro.runtime.engine.EngineRun`,
-  :class:`~repro.runtime.engine.ReadyQueue`,
-  :func:`~repro.runtime.engine.task_failed`,
-  :class:`~repro.runtime.engine.VirtualExecutor`): readiness, priority
-  order, first-failure cancellation, fault injection and the run's
-  trace, owned once for every substrate;
+  (:class:`~repro.runtime.engine.ReadyQueue`,
+  :class:`~repro.runtime.engine.EngineRun`,
+  :func:`~repro.runtime.engine.task_failed`): priority order, run
+  isolation, first-failure cancellation and the run's trace, owned once
+  for every substrate;
 * :class:`~repro.runtime.scheduler.SequentialScheduler` /
   :class:`~repro.runtime.scheduler.ThreadScheduler` /
   :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock
@@ -22,10 +21,8 @@ Public surface:
   ready queue under one lock);
 * :class:`~repro.runtime.simulator.Machine` /
   :class:`~repro.runtime.simulator.SimulatedMachine` — deterministic
-  discrete-event execution on a virtual multicore, with
-  :class:`~repro.runtime.distributed.ClusterMachine` and
-  :class:`~repro.runtime.hetero.HeteroMachine` extending the same
-  virtual substrate across nodes and accelerators;
+  discrete-event execution on a virtual multicore (the one virtual-time
+  substrate);
 * :class:`~repro.runtime.quark.Quark` — QUARK-style facade;
 * :class:`~repro.runtime.trace.Trace` — schedule recording/analysis;
 * :class:`~repro.runtime.faults.FaultSpec` /
@@ -36,26 +33,22 @@ Public surface:
 from .task import (Access, DataHandle, Task, TaskCost,
                    INPUT, OUTPUT, INOUT, GATHERV)
 from .dag import TaskGraph
-from .engine import EngineRun, ReadyQueue, VirtualExecutor, task_failed
+from .engine import EngineRun, ReadyQueue, task_failed
 from .faults import FaultInjector, FaultSpec
 from .scheduler import (SequentialScheduler, ThreadScheduler, WorkerPool,
                         default_thread_workers)
 from .simulator import Machine, SimulatedMachine
 from .quark import Quark
-from .hetero import Accelerator, HeteroMachine, GPU_OFFLOAD_POLICY
-from .distributed import ClusterMachine, Network, tree_placement
 from .trace import Trace, TraceEvent, PAPER_KERNELS
 
 __all__ = [
     "Access", "DataHandle", "Task", "TaskCost",
     "INPUT", "OUTPUT", "INOUT", "GATHERV",
     "TaskGraph",
-    "EngineRun", "ReadyQueue", "VirtualExecutor", "task_failed",
+    "EngineRun", "ReadyQueue", "task_failed",
     "SequentialScheduler", "ThreadScheduler",
     "WorkerPool", "default_thread_workers",
     "Machine", "SimulatedMachine", "Quark",
     "FaultSpec", "FaultInjector",
-    "Accelerator", "HeteroMachine", "GPU_OFFLOAD_POLICY",
-    "ClusterMachine", "Network", "tree_placement",
     "Trace", "TraceEvent", "PAPER_KERNELS",
 ]

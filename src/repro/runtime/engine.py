@@ -9,19 +9,13 @@ in common lives here, once —
   ``Task.priority`` first, then overall submission order: QUARK's
   sequential-task-flow policy); unlocked, so the thread pool guards its
   one shared instance with its own lock;
-* :class:`EngineRun` — the run-isolation record: per-run dependency
-  countdowns and readiness release, first-failure state, trace events,
-  and the single emission point for the run's :class:`Trace` (built for
-  failed runs too) and the completion hook;
+* :class:`EngineRun` — the run-isolation record of a thread-pool
+  submission: per-run dependency countdowns and readiness release,
+  first-failure state, trace events, and the single emission point for
+  the run's :class:`Trace` (built for failed runs too) and the
+  completion hook;
 * :func:`task_failed` — the typed-``TaskFailure`` failure path every
-  substrate raises through;
-* :class:`VirtualExecutor` — the discrete-event engine loop shared by
-  the simulator family (:class:`~repro.runtime.simulator.SimulatedMachine`,
-  :class:`~repro.runtime.distributed.ClusterMachine`,
-  :class:`~repro.runtime.hetero.HeteroMachine`): readiness, payload
-  execution with fault injection and deadlock detection, with the
-  machine model (worker geometry, dispatch placement, virtual-clock
-  advance) left to subclasses.
+  substrate raises through.
 
 The run's :class:`Trace` is its only record: no substrate counts or
 samples anything beside it, and every telemetry view
@@ -30,8 +24,7 @@ substrate consults a run's fault injector (``injector.maybe_fail(task)``)
 immediately before running each task.
 
 The backends themselves (:mod:`~repro.runtime.scheduler`,
-:mod:`~repro.runtime.simulator`, :mod:`~repro.runtime.distributed`,
-:mod:`~repro.runtime.hetero`) are thin *substrates*: inline call, a
+:mod:`~repro.runtime.simulator`) are thin *substrates*: inline call, a
 thread pool over one locked ready queue, or a virtual clock.  No module
 outside this one may import an underscore-private name from another
 runtime module — the conformance suite's lint test enforces it.
@@ -48,7 +41,7 @@ from typing import Callable, Optional
 from ..errors import SchedulerError, wrap_task_error
 from .trace import Trace, TraceEvent
 
-__all__ = ["ReadyQueue", "EngineRun", "task_failed", "VirtualExecutor"]
+__all__ = ["ReadyQueue", "EngineRun", "task_failed"]
 
 
 class ReadyQueue:
@@ -201,118 +194,3 @@ class EngineRun:
             except Exception:
                 pass
         self._done_event.set()
-
-
-# ---------------------------------------------------------------------------
-# Discrete-event substrate base
-# ---------------------------------------------------------------------------
-
-
-class VirtualExecutor:
-    """Engine loop shared by the virtual-clock (discrete-event) family.
-
-    Owns the full engine contract for the simulator backends: dependency
-    countdowns and readiness release, the priority-ordered ready queue,
-    functional-payload execution with the fault-injection guard,
-    first-failure cancellation, the trace (with *virtual* timestamps)
-    and deadlock detection.  Subclasses provide only the machine model
-    via four hooks:
-
-    ``_virtual_workers()``
-        Total worker rows in the trace.
-    ``_setup(graph)``
-        Initialize run-scoped substrate state (free-worker lists,
-        data-location maps, the running set).
-    ``_dispatch(ready)``
-        Start ready tasks per the substrate's placement policy, calling
-        :meth:`_exec_payload` for each started task.  The policy — e.g.
-        the fluid model's pop-only-when-a-core-is-free versus the
-        cluster/hetero drain-then-defer pattern — is deliberately left
-        to the substrate so each model's published virtual-time results
-        stay bit-identical.
-    ``_advance()``
-        Advance the virtual clock to the next completion(s), calling
-        :meth:`_complete_task` for each finished task.
-
-    Instances are single-run at a time (like the wall-clock schedulers);
-    ``run`` keeps its state on ``self`` for the substrate hooks.
-    """
-
-    def __init__(self, *, execute: bool = True, injector=None):
-        self.execute = execute
-        self.injector = injector
-        self.trace: Optional[Trace] = None
-
-    # -- substrate hooks -------------------------------------------------
-    def _virtual_workers(self) -> int:
-        raise NotImplementedError
-
-    def _setup(self, graph) -> None:
-        raise NotImplementedError
-
-    def _dispatch(self, ready: ReadyQueue) -> None:
-        raise NotImplementedError
-
-    def _has_running(self) -> bool:
-        raise NotImplementedError
-
-    def _advance(self) -> None:
-        raise NotImplementedError
-
-    # -- engine loop -----------------------------------------------------
-    def run(self, graph) -> Trace:
-        tasks = graph.tasks
-        self._trace = trace = Trace(n_workers=self._virtual_workers())
-        self._pending = {t.uid: t.n_deps for t in tasks}
-        self._ready = ready = ReadyQueue()
-        for t in tasks:
-            if t.n_deps == 0:
-                ready.push(t)
-        self._now = 0.0
-        self._n_done = 0
-        total = len(tasks)
-        self._setup(graph)
-        while self._n_done < total:
-            self._dispatch(ready)
-            if not self._has_running():
-                raise SchedulerError(
-                    f"{type(self).__name__}: deadlock — no running tasks "
-                    "but the graph is incomplete")
-            self._advance()
-        self.trace = trace
-        return trace
-
-    # -- engine services for the substrate hooks -------------------------
-    def _exec_payload(self, task) -> None:
-        """Run the functional payload at (virtual) dispatch time.
-
-        The first failure cancels the run: the typed
-        :class:`~repro.errors.TaskFailure` propagates, carrying the
-        partial trace of the tasks completed so far.  When
-        ``execute=False`` (replaying a solved graph) the payload is
-        skipped but the task is still marked done.
-        """
-        if self.execute:
-            injector = self.injector
-            try:
-                if injector is not None:
-                    injector.maybe_fail(task)
-                task.run()
-            except Exception as exc:
-                raise task_failed(task, exc, trace=self._trace) from exc
-        task.mark_done()
-
-    def _complete_task(self, task, worker: int, t_start: float,
-                       t_end: float) -> None:
-        """Trace one virtually-finished task and release its successors
-        into the ready queue."""
-        self._trace.record(TraceEvent(task.uid, task.name, worker,
-                                      t_start, t_end, task.tag,
-                                      task.priority, task.seq))
-        pending = self._pending
-        ready = self._ready
-        for s in task.successors:
-            pending[s.uid] -= 1
-            if pending[s.uid] == 0:
-                ready.push(s)
-        self._n_done += 1

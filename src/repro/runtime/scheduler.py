@@ -27,8 +27,7 @@ in-process substrates that execute under it:
 
 All substrates record a :class:`~repro.runtime.trace.Trace` using
 wall-clock time.  Deterministic multicore *timing* studies use the
-discrete-event substrates in :mod:`repro.runtime.simulator` /
-:mod:`repro.runtime.distributed` / :mod:`repro.runtime.hetero` instead.
+discrete-event substrate in :mod:`repro.runtime.simulator` instead.
 No substrate re-checks a graph for cycles:
 :meth:`~repro.runtime.task.Task.add_successor` only accepts edges that
 point forward in submission order.

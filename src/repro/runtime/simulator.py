@@ -4,9 +4,9 @@ The paper evaluates on a dual-socket 16-core Xeon E5-2650v2.  Python's GIL
 makes fine-grained *pure-Python* tasks serialize, so wall-clock thread runs
 cannot reproduce the paper's scalability curves faithfully.  Instead, this
 substrate executes the *identical task DAG* (same tasks, same dependencies,
-same out-of-order readiness rule — supplied by the shared
-:class:`~repro.runtime.engine.VirtualExecutor` engine loop) on ``P``
-virtual cores and charges each task a duration derived from its declared
+same out-of-order readiness rule and the engine's
+:class:`~repro.runtime.engine.ReadyQueue` order) on ``P`` virtual cores
+and charges each task a duration derived from its declared
 :class:`~repro.runtime.task.TaskCost`:
 
 * compute-bound tasks (``flops`` dominated) progress at the core's flop
@@ -21,9 +21,11 @@ virtual cores and charges each task a duration derived from its declared
 The functional payload of every task still runs (in virtual-time order),
 so deflation-dependent task costs — evaluated lazily — reflect the real
 matrix, exactly as in the paper where the DAG is matrix-independent but
-task *work* is not.  Because payloads run under the engine, fault
+task *work* is not.  Payloads run under the run's fault injector and
+fail through :func:`~repro.runtime.engine.task_failed`, so fault
 injection and the per-run trace work here exactly as on the wall-clock
-substrates (trace timestamps are virtual seconds).
+substrates (trace timestamps are virtual seconds).  This is the only
+virtual-time substrate.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ReadyQueue, VirtualExecutor
+from ..errors import InputError, SchedulerError
+from .engine import ReadyQueue, task_failed
 from .task import Task, TaskCost
+from .trace import Trace, TraceEvent
 
 
 @dataclass(frozen=True)
@@ -117,47 +121,73 @@ class _Running:
         self.t_start = t_start
 
 
-class SimulatedMachine(VirtualExecutor):
+class SimulatedMachine:
     """Discrete-event substrate: a :class:`TaskGraph` on a :class:`Machine`.
 
-    Fluid processor-sharing semantics: on every task start/finish the
+    Readiness is the engine's rule: a task becomes ready when its last
+    predecessor finishes, and ready tasks start in
+    :class:`~repro.runtime.engine.ReadyQueue` order.  Fluid
+    processor-sharing semantics: on every task start/finish the
     instantaneous rates of all running tasks are recomputed; memory-bound
     tasks on socket *s* each progress at
-    ``min(stream_bw, socket_bw / n_mem(s))`` bytes/s.  Readiness,
-    payload execution, faults and the trace come from
-    :class:`~repro.runtime.engine.VirtualExecutor`; this class owns
-    only the machine model (socket placement and the fluid clock).
+    ``min(stream_bw, socket_bw / n_mem(s))`` bytes/s.
+
+    ``n_workers`` (default ``machine.n_cores``) must lie in
+    ``[1, machine.n_cores]``: fewer workers keep the machine's socket
+    geometry and just use fewer of its cores (like a taskset-restricted
+    run).  ``execute=False`` replays a solved graph: no payload runs and
+    every task's cost is read as the first run left it.  ``injector`` is
+    consulted immediately before each payload, as on every substrate.
+
+    Instances run one graph at a time; ``run`` keeps its state on
+    ``self``.
     """
 
     def __init__(self, machine: Machine | None = None,
                  n_workers: Optional[int] = None,
                  execute: bool = True, injector=None):
-        base = machine or Machine()
-        self.machine = base
-        # Fewer workers than cores keeps the base socket geometry and
-        # just uses fewer of them (like a taskset-restricted run).
-        self.n_workers = n_workers if (n_workers is not None
-                                       and n_workers != base.n_cores) \
-            else base.n_cores
-        super().__init__(execute=execute, injector=injector)
+        self.machine = machine = machine or Machine()
+        if n_workers is None:
+            n_workers = machine.n_cores
+        elif not 1 <= n_workers <= machine.n_cores:
+            raise InputError(
+                f"n_workers={n_workers} is outside [1, {machine.n_cores}]: "
+                f"the simulated machine has {machine.n_cores} cores")
+        self.n_workers = n_workers
+        self.execute = execute
+        self.injector = injector
+        self.trace: Optional[Trace] = None
 
-    # -- substrate hooks -------------------------------------------------
-    def _virtual_workers(self) -> int:
-        return self.n_workers
-
-    def _setup(self, graph) -> None:
+    def run(self, graph) -> Trace:
+        tasks = graph.tasks
+        self._trace = trace = Trace(n_workers=self.n_workers)
+        self._pending = {t.uid: t.n_deps for t in tasks}
+        self._ready = ready = ReadyQueue()
+        for t in tasks:
+            if t.n_deps == 0:
+                ready.push(t)
+        self._now = 0.0
+        self._n_done = 0
         self._free = list(range(self.n_workers - 1, -1, -1))
         self._running: list[_Running] = []
+        total = len(tasks)
+        while self._n_done < total:
+            self._dispatch()
+            if not self._running:
+                raise SchedulerError(
+                    "SimulatedMachine: deadlock — no running tasks but "
+                    "the graph is incomplete")
+            self._advance()
+        self.trace = trace
+        return trace
 
-    def _has_running(self) -> bool:
-        return bool(self._running)
-
-    def _dispatch(self, ready: ReadyQueue) -> None:
+    def _dispatch(self) -> None:
         # Start as many ready tasks as there are free workers.  Pick
         # the free worker on the least-loaded socket (OS schedulers and
         # work stealing spread threads across sockets, which matters
         # for the bandwidth model).
         m = self.machine
+        ready = self._ready
         free = self._free
         running = self._running
         while len(ready) and free:
@@ -173,6 +203,25 @@ class SimulatedMachine(VirtualExecutor):
             kind, work, over = m.work_of(cost, task.name)
             running.append(_Running(task, worker, m.socket_of(worker),
                                     kind, work, over, self._now))
+
+    def _exec_payload(self, task) -> None:
+        """Run the functional payload at (virtual) dispatch time.
+
+        The first failure cancels the run: the typed
+        :class:`~repro.errors.TaskFailure` propagates, carrying the
+        partial trace of the tasks completed so far.  When
+        ``execute=False`` the payload is skipped but the task is still
+        marked done.
+        """
+        if self.execute:
+            injector = self.injector
+            try:
+                if injector is not None:
+                    injector.maybe_fail(task)
+                task.run()
+            except Exception as exc:
+                raise task_failed(task, exc, trace=self._trace) from exc
+        task.mark_done()
 
     def _rates(self) -> dict[int, float]:
         """Instantaneous progress rate for each running task (by uid)."""
@@ -222,6 +271,20 @@ class SimulatedMachine(VirtualExecutor):
             still = [x for x in running if x is not r]
         self._running = still
         for r in finished:
-            self._complete_task(r.task, r.worker, r.t_start, self._now)
+            self._complete(r)
             self._free.append(r.worker)
         self._free.sort(reverse=True)
+
+    def _complete(self, r: _Running) -> None:
+        """Trace one finished task and release its successors into the
+        ready queue."""
+        task = r.task
+        self._trace.record(TraceEvent(task.uid, task.name, r.worker,
+                                      r.t_start, self._now, task.tag,
+                                      task.priority, task.seq))
+        pending = self._pending
+        for s in task.successors:
+            pending[s.uid] -= 1
+            if pending[s.uid] == 0:
+                self._ready.push(s)
+        self._n_done += 1

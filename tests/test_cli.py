@@ -37,6 +37,13 @@ def test_trace(capsys):
     assert "makespan" in out
 
 
+@pytest.mark.parametrize("cores", [0, 17])
+def test_trace_cores_outside_the_simulated_machine(cores, capsys):
+    assert main(["trace", "--n", "200", "--cores", str(cores)]) == 1
+    err = capsys.readouterr().err
+    assert f"InputError: n_workers={cores} is outside [1, 16]" in err
+
+
 def test_trace_fig3_configs(capsys):
     for cfg in ("parallel-gemm", "parallel-merge"):
         assert main(["trace", "--type", "4", "--n", "150",

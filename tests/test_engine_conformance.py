@@ -1,9 +1,9 @@
-"""Engine conformance: one behavioural contract, six executors.
+"""Engine conformance: one behavioural contract, four executors.
 
 Every generic-graph execution substrate — sequential, threads, worker
-pool, and the three virtual machines (simulated / cluster / hetero) —
-runs on the shared engine (:mod:`repro.runtime.engine`).  This suite
-pins the contract the engine owns, parameterized over all of them:
+pool and the simulated machine — runs on the shared engine
+(:mod:`repro.runtime.engine`).  This suite pins the contract the engine
+owns, parameterized over all of them:
 
 * priority order on a crafted DAG (single-worker configs so the ready
   order is observable in the trace);
@@ -13,7 +13,7 @@ pins the contract the engine owns, parameterized over all of them:
 * ``nth``-match fault determinism: the same :class:`FaultSpec` kills
   the same task on every backend;
 * the run's event log: one trace event per executed task on every
-  substrate, including the virtual machines, and a failed run's partial
+  substrate, including the virtual machine, and a failed run's partial
   trace reaches the caller on the raised error;
 * run isolation: two concurrently-submitted pool runs do not share
   failure state;
@@ -31,9 +31,9 @@ import pytest
 
 from repro.errors import TaskFailure
 from repro.runtime import (
-    INOUT, INPUT, ClusterMachine, DataHandle, FaultInjector, FaultSpec,
-    HeteroMachine, Machine, SequentialScheduler,
-    SimulatedMachine, TaskGraph, ThreadScheduler, WorkerPool,
+    INOUT, INPUT, DataHandle, FaultInjector, FaultSpec, Machine,
+    SequentialScheduler, SimulatedMachine, TaskGraph, ThreadScheduler,
+    WorkerPool,
 )
 
 RUNTIME_DIR = (Path(__file__).resolve().parents[1]
@@ -85,23 +85,11 @@ def _run_simulated(graph, injector=None):
     return SimulatedMachine(_one_core(), injector=injector).run(graph)
 
 
-def _run_cluster(graph, injector=None):
-    return ClusterMachine(n_nodes=1, machine=_one_core(),
-                          injector=injector).run(graph)
-
-
-def _run_hetero(graph, injector=None):
-    return HeteroMachine(machine=_one_core(), accelerators=0,
-                         injector=injector).run(graph)
-
-
 EXECUTORS = {
     "sequential": _run_sequential,
     "threads": _run_threads,
     "pool": _run_pool,
     "simulated": _run_simulated,
-    "cluster": _run_cluster,
-    "hetero": _run_hetero,
 }
 
 ALL = sorted(EXECUTORS)

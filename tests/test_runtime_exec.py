@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
+from repro.core import DCContext, DCOptions, submit_dc
 from repro.errors import InputError
+from repro.matrices import test_matrix as table3_matrix
 from repro.runtime import (INPUT, OUTPUT, INOUT,
                            DataHandle, Machine, Quark, SequentialScheduler,
                            SimulatedMachine, TaskGraph, TaskCost,
@@ -203,6 +205,64 @@ def test_simulator_is_deterministic():
     t2 = SimulatedMachine(m).run(build())
     assert t1.makespan == t2.makespan
     assert [e.name for e in t1.events] == [e.name for e in t2.events]
+
+
+def _permute_tasks(n_tasks, n_bytes):
+    g = TaskGraph()
+    for _ in range(n_tasks):
+        g.insert_task(lambda: None, [(DataHandle(), OUTPUT)],
+                      name="PermuteV", cost=TaskCost(bytes_moved=n_bytes))
+    return g
+
+
+@pytest.mark.parametrize("n_workers", [0, 17, 64])
+def test_simulator_workers_bounded_by_cores(n_workers):
+    """A worker past ``n_cores`` would sit on a socket the machine does
+    not have, with a socket's full bandwidth of its own."""
+    with pytest.raises(InputError, match=rf"n_workers={n_workers}\b.*16"):
+        SimulatedMachine(Machine(), n_workers=n_workers)
+
+
+def test_simulator_all_cores_share_the_sockets_bandwidth():
+    # 64 independent 1 GB copies on all 16 cores of the two 40 GB/s
+    # sockets: 80 GB/s in aggregate, the same as the default worker count.
+    m = Machine(task_overhead=0.0)
+    full = SimulatedMachine(m, n_workers=m.n_cores).run(
+        _permute_tasks(64, 1e9))
+    assert full.n_workers == 16
+    assert full.makespan == pytest.approx(64e9 / 80e9, rel=1e-9)
+    assert SimulatedMachine(m).run(_permute_tasks(64, 1e9)).makespan \
+        == full.makespan
+
+
+@pytest.mark.parametrize("jobz", ["V", "N"])
+@pytest.mark.parametrize("mtype", [2, 4])
+def test_simulator_replay_matches_executing_run(mtype, jobz):
+    """``execute=False`` (how the figure benches replay a solved graph)
+    gives the executing run's schedule and runs no payload."""
+    d, e = table3_matrix(mtype, 700, seed=0)
+    graph = TaskGraph()
+    submit_dc(graph, DCContext(d, e, DCOptions(jobz=jobz)))
+    executed = SimulatedMachine().run(graph)
+
+    calls = []
+
+    def counting(func):
+        def wrapper(*args):
+            calls.append(func)
+            return func(*args)
+        return wrapper
+
+    for task in graph.tasks:
+        task.func = counting(task.func)
+    replayed = SimulatedMachine(execute=False).run(graph)
+    assert calls == []
+
+    def schedule(trace):
+        return [(ev.name, ev.worker, ev.t_start, ev.t_end)
+                for ev in trace.events]
+    assert len(executed.events) == len(graph.tasks)
+    assert schedule(replayed) == schedule(executed)
 
 
 # ---------------------------------------------------------------------------
